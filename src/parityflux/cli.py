@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .device import (ConfigError, DeviceParams, FluxFrequencyMap,
-                     fq_to_flux, load_config)
+                     config_from_values, fq_to_flux, parse_config_text)
 from .fitting import (DegenerateFitError, FitDataset, FitProblem, fit,
                       fit_lamp, fit_lamp_series, fit_thermal, lamp_model)
 from .quadrature import QuadratureError
@@ -94,12 +94,9 @@ def _parse_flux_grid(spec):
 
 def _load_device(args):
     if getattr(args, "config", None):
-        params, fmap, dyn = load_config(args.config)
-        vals = {}
         with open(args.config) as fh:
-            from .device import parse_config_text
             vals = parse_config_text(fh.read())
-        return params, fmap, dyn, vals
+        return config_from_values(vals) + (vals,)
     return DeviceParams(), FluxFrequencyMap(), {}, {}
 
 
@@ -309,7 +306,6 @@ def cmd_thermal_fit(args):
     params, fmap, dyn_cfg, cfg_vals = _load_device(args)
     with open(args.data) as fh:
         rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = rows[0].split(",")
     data = [tuple(float(v) for v in r.split(",")[:2]) for r in rows[1:]]
     gap_mean, extra, res = fit_thermal(data, params, mode=args.mode)
     lines = _manifest_lines("thermal-fit", args, args.config, cfg_vals,

@@ -7,13 +7,22 @@ reservoirs.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .constants import H_JS
 
 
 class ConfigError(ValueError):
     """Bad key or value in a flat key=value configuration file."""
+
+
+def require_finite(params):
+    """Raise ValueError naming the first field of a parameter dataclass that
+    is NaN or infinite; range checks alone let NaN through."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (f.name, value))
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,7 @@ class DeviceParams:
     dynes: float = 1e-4         # dimensionless DOS broadening
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.ej1, self.ej2, self.ec, self.gap_mean) <= 0:
             raise ValueError("ej1, ej2, ec and gap_mean must be positive")
         if not 0 <= self.gap_diff < 2 * self.gap_mean:
@@ -180,7 +190,11 @@ def parse_config_text(text, extra_keys=frozenset()):
 def load_config(path):
     """Read a config file; returns (DeviceParams, FluxFrequencyMap, dynamics dict)."""
     with open(path) as fh:
-        values = parse_config_text(fh.read())
+        return config_from_values(parse_config_text(fh.read()))
+
+
+def config_from_values(values):
+    """(DeviceParams, FluxFrequencyMap, dynamics dict) from parsed config values."""
     dev_kw = {k: v for k, v in values.items() if k in _DEVICE_KEYS}
     try:
         params = DeviceParams(**dev_kw)

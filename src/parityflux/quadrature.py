@@ -8,6 +8,8 @@ bisection handles both cases; integrands are evaluated on whole node arrays
 (one numpy call per refinement round) which keeps the fit loop fast.
 """
 
+import math
+
 import numpy as np
 
 # 15-point Kronrod nodes on [-1, 1] and weights, embedded 7-point Gauss.
@@ -69,7 +71,8 @@ def adaptive_quad(f, a, b, rtol=1e-9, atol=0.0, max_intervals=4096):
     Returns a float (ncomp == 1) or 1-d array of the component integrals.
 
     Raises QuadratureError when the requested tolerance is unreachable
-    within ``max_intervals`` subdivisions.
+    within ``max_intervals`` subdivisions, or when a panel integral or its
+    error estimate is not finite (NaN or inf in the integrand).
     """
     if b <= a:
         return 0.0
@@ -79,6 +82,16 @@ def adaptive_quad(f, a, b, rtol=1e-9, atol=0.0, max_intervals=4096):
     while True:
         total = vals.sum(axis=0)
         tot_err = errs.sum()
+        if not math.isfinite(tot_err):
+            # a NaN error compares False against every split threshold
+            # below, so refinement would never split or stop.  A panel's
+            # error is finite only if all its component integrals are.
+            worst = int(np.argmax(~np.isfinite(errs)))
+            raise QuadratureError(
+                "integrand is not finite on [%g, %g]"
+                % (edges_a[worst], edges_b[worst]),
+                interval=(edges_a[worst], edges_b[worst]),
+            )
         bound = max(atol, rtol * np.abs(total).max())
         if tot_err <= bound or tot_err == 0.0:
             break

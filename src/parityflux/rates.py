@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, cooper_pair_number
+from .device import DeviceParams, cooper_pair_number, require_finite
 from .constants import thermal_energy_ghz
 from .spectrum import (DEFAULT_NG, DEFAULT_NTRUNC, Junction,
                        charge_matrix_elements, parity_spectrum)
@@ -56,6 +56,7 @@ class PhotonDrive:
     n_bar: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_bar < 0:
             raise ValueError("n_bar must be nonnegative")
         if self.n_bar > 0 and self.f_p <= 0:
@@ -448,7 +449,9 @@ def effective_single_frequency(spectrum_freqs, spectrum_weights,
 
     Minimizes the maximum deviation between the spectrum-integrated
     Gamma_P(Phi)/Gamma_P(0) curve and the single-frequency curve over the
-    flux grid (26 points by default).  Returns (PhotonDrive, residual).
+    flux grid (26 points by default).  Returns (PhotonDrive, residual,
+    shape), where shape is the spectrum-integrated Gamma_P(Phi)/Gamma_P(0)
+    on the flux grid.
     """
     from scipy.optimize import minimize_scalar
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import thermal_energy_ghz
-from .device import DeviceParams, cooper_pair_number
+from .device import DeviceParams, cooper_pair_number, require_finite
 from .rates import (DEFAULT_NG, DiluteTables, _drive_list, dilute_tables,
                     dilute_tables_grid, flux_point, paps_rates,
                     paps_unit_grid)
@@ -45,6 +44,7 @@ class DynamicsParams:
     g_other: float = 8e-8          # non-photon generation per side (x/s)
 
     def __post_init__(self):
+        require_finite(self)
         if self.s < 0 or self.r < 0 or self.g_other < 0:
             raise ValueError("dynamics rates must be nonnegative")
 
@@ -59,6 +59,16 @@ class QPState:
     x3: float
     mu_left: float   # GHz, films 0/1
     mu_right: float  # GHz, films 2/3
+
+
+def _qp_state(params: DeviceParams, x0, x2, eta):
+    """QPState from the low-gap densities; the high-gap films sit a factor
+    e^-eta below and share their pad's chemical potential."""
+    em = math.exp(-eta)
+    mu_left, mu_right = (mu_from_xqp(params.gap_low, params.t_ph, x,
+                                     params.dynes) for x in (x0, x2))
+    return QPState(x0=x0, x1=x0 * em, x2=x2, x3=x2 * em,
+                   mu_left=mu_left, mu_right=mu_right)
 
 
 def _decoupled_root(g, lin, quad):
@@ -194,15 +204,10 @@ def curve_point(params: DeviceParams, dyn: DynamicsParams, phi, drive,
     gamma03 = tables.per_qp(rho, n_cp_low, "low_to_high")
     gamma30 = tables.per_qp(rho, n_cp_low, "high_to_low")
     x0, x2 = solve_balance(g_side, dyn, gamma03, gamma30, tables.eta, model)
-    em = math.exp(-tables.eta)
-    state = QPState(
-        x0=x0, x1=x0 * em, x2=x2, x3=x2 * em,
-        mu_left=mu_from_xqp(params.gap_low, params.t_ph, x0, params.dynes) if x0 > 0 else -math.inf,
-        mu_right=mu_from_xqp(params.gap_low, params.t_ph, x2, params.dynes) if x2 > 0 else -math.inf,
-    )
-    gamma_n = tables.gamma_n(x0, x2)
-    return CurvePoint(phi=phi, fq=tables.point.fq, state=state,
-                      gamma_n=gamma_n, gamma_p=gamma_p, rho=tuple(rho))
+    return CurvePoint(phi=phi, fq=tables.point.fq,
+                      state=_qp_state(params, x0, x2, tables.eta),
+                      gamma_n=tables.gamma_n(x0, x2), gamma_p=gamma_p,
+                      rho=tuple(rho))
 
 
 def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
@@ -222,7 +227,6 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
                                   params.dos_fermi)
     r0, r1 = rho
-    em = math.exp(-params.gap_diff / thermal_energy_ghz(params.t_ph))
     out = []
     for k, tab in enumerate(tables):
         gamma_p = np.zeros((2, 2))
@@ -234,13 +238,9 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
         g30 = tab.per_qp(rho, n_cp_low, "high_to_low")
         x0, x2 = solve_balance(gp_tot / n_cp_low + dyn.g_other, dyn, g03, g30,
                                tab.eta, model)
-        state = QPState(
-            x0=x0, x1=x0 * em, x2=x2, x3=x2 * em,
-            mu_left=mu_from_xqp(params.gap_low, params.t_ph, x0, params.dynes) if x0 > 0 else -math.inf,
-            mu_right=mu_from_xqp(params.gap_low, params.t_ph, x2, params.dynes) if x2 > 0 else -math.inf,
-        )
         out.append(CurvePoint(phi=float(flux_grid[k]), fq=tab.point.fq,
-                              state=state, gamma_n=tab.gamma_n(x0, x2),
+                              state=_qp_state(params, x0, x2, tab.eta),
+                              gamma_n=tab.gamma_n(x0, x2),
                               gamma_p=gamma_p, rho=tuple(rho)))
     return out
 

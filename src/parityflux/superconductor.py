@@ -30,6 +30,8 @@ from .quadrature import adaptive_quad
 _TAIL_EFOLDS = 40.0
 # Maxwell-Boltzmann shortcut is exact to better than 1e-8 beyond this
 _MB_EFOLDS = 20.0
+# Fermi-series terms in mu_from_xqp; q <= 1/e there, so e^-40 truncation
+_SERIES_TERMS = 40
 
 
 def dos(eps_ghz, gap_ghz, dynes=0.0):
@@ -105,9 +107,12 @@ def xqp_from_mu(gap, t_kelvin, mu, dynes=0.0, rtol=1e-10):
 
     Normalized against the Cooper-pair density 2 D(eps_F) Delta, which makes
     the mu = 0 thermal value approach sqrt(2 pi kT/Delta) exp(-Delta/kT).
+    mu = -inf (no excess QPs) gives 0; NaN and +inf are rejected.
     """
     if mu == -math.inf:
         return 0.0
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite or -inf, got %r" % mu)
     kt = thermal_energy_ghz(t_kelvin)
     emax = gap + _TAIL_EFOLDS * kt + max(0.0, mu - gap)  # mu < gap anyway
     umax = math.acosh(emax / gap)
@@ -124,27 +129,58 @@ def xqp_from_mu(gap, t_kelvin, mu, dynes=0.0, rtol=1e-10):
 def mu_from_xqp(gap, t_kelvin, x_qp, dynes=0.0, rtol=1e-10):
     """Chemical potential reproducing a requested reduced density.
 
-    Returns -inf for x_qp = 0 (no excess QPs).  Raises ValueError when the
-    density would push mu to the gap edge (degenerate regime).
+    Returns -inf for x_qp = 0 (no excess QPs).  Raises ValueError for a
+    negative or non-finite x_qp, and when the density would push mu to the
+    gap edge (degenerate regime).
+
+    For eps >= Delta > mu the Fermi function is the convergent series
+    f = sum_{n>=1} (-1)^(n+1) q^n exp(-n (eps - Delta)/kT) with
+    q = exp(-(Delta - mu)/kT), so the density xqp_from_mu integrates is
+    x(mu) = sum_n (-1)^(n+1) q^n J_n with the mu-independent moments
+    J_n = (2/Delta) int nu(eps) exp(-n (eps - Delta)/kT) deps, taken over the
+    same cosh-substituted, 40 kT-truncated domain.  One vector quadrature
+    gives all J_n; the root in mu is then found on the cheap series.  The
+    thermal density x(0) sets the Boltzmann estimate mu_est = kT ln(x/x(0)).
+    Fermi occupation never exceeds Boltzmann, so the root lies above
+    mu_est - 4 kT; at mu_est + kT the series already exceeds e (1 - 1/e) x,
+    so the root lies below it.  On that bracket q <= 1/e, and the
+    _SERIES_TERMS terms truncate x below 1e-17 relative.
     """
+    if not math.isfinite(x_qp):
+        raise ValueError("x_qp must be finite, got %r" % x_qp)
     if x_qp < 0:
         raise ValueError("x_qp must be nonnegative")
     if x_qp == 0.0:
         return -math.inf
     kt = thermal_energy_ghz(t_kelvin)
-    x_thermal = xqp_from_mu(gap, t_kelvin, 0.0, dynes, rtol)
+    umax = math.acosh((gap + _TAIL_EFOLDS * kt) / gap)
+    n = np.arange(1, _SERIES_TERMS + 1)
+
+    def moments(u):
+        eps = gap * np.cosh(u)
+        w = dos(eps, gap, dynes) * gap * np.sinh(u)
+        return w[:, None] * np.exp(-np.outer((eps - gap) / kt, n))
+
+    j = 2.0 * adaptive_quad(moments, 0.0, umax, rtol=rtol) / gap
+    # series coefficients (-1)^(n+1) J_n, highest order first for Horner
+    coef = (j * (-1.0) ** (n + 1))[::-1].tolist()
+
+    def x_of(mu):
+        q = math.exp((mu - gap) / kt)
+        acc = 0.0
+        for c in coef:
+            acc = acc * q + c
+        return acc * q
+
+    x_thermal = x_of(0.0)
     mu_est = kt * math.log(x_qp / x_thermal)  # exact in the Boltzmann regime
     if mu_est >= gap - 2.0 * kt:
         raise ValueError(
             "x_qp = %g requires mu within 2 kT of the gap; "
             "nondegenerate treatment invalid" % x_qp
         )
-    lo, hi = mu_est - 4.0 * kt, min(mu_est + 4.0 * kt, gap - 1e-9)
-
-    def delta(mu):
-        return xqp_from_mu(gap, t_kelvin, mu, dynes, rtol) - x_qp
-
-    return brentq(delta, lo, hi, xtol=1e-14, rtol=1e-13)
+    return brentq(lambda mu: x_of(mu) - x_qp, mu_est - 4.0 * kt,
+                  mu_est + kt, xtol=1e-14, rtol=1e-13)
 
 
 def _occupied_weight(eps, t_kelvin, mu, boltzmann):

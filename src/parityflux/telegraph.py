@@ -145,8 +145,6 @@ def psd_gamma(trace: JumpTrace, segment_len, n_avg=5):
     white floor, diagnostics dict with the per-group estimates).
     """
     n_seg = len(trace) // segment_len
-    if n_seg * segment_len > len(trace) or n_seg < 1:
-        n_seg = len(trace) // segment_len
     if n_seg < 1:
         raise ValueError("trace shorter than one segment")
     n_groups = n_seg // n_avg

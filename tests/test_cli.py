@@ -78,6 +78,59 @@ def test_bad_flux_spec_usage_error(cfg, tmp_path):
                 "--out", str(tmp_path / "z.csv")]) == 2
 
 
+@pytest.mark.parametrize("extra, name", [
+    (["--nbar", "nan"], "n_bar"),
+    (["--s", "nan"], "s"),
+    (["--r", "inf"], "r"),
+    (["--g-other", "nan"], "g_other"),
+    (["--fp", "nan"], "f_p"),
+])
+def test_sweep_non_finite_parameter_is_domain_error(cfg, tmp_path, capsys,
+                                                    extra, name):
+    out = str(tmp_path / "nf.csv")
+    assert run(["sweep", "--config", cfg, "--flux", "0:0.5:3",
+                "--out", out] + extra) == 1
+    assert "%s must be finite" % name in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_non_finite_config_and_density_are_domain_errors(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(CFG.replace("t_ph = 0.05", "t_ph = nan"))
+    out = str(tmp_path / "nf.csv")
+    assert run(["sweep", "--config", str(bad), "--flux", "0:0.5:3",
+                "--out", out]) == 1
+    assert "t_ph must be finite" in capsys.readouterr().err
+    assert run(["rates", "--flux", "0:0.5:3", "--x0", "nan", "--x3", "1e-10",
+                "--out", out]) == 1
+    assert "x_qp must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_config_parsed_once_per_command(cfg, tmp_path, monkeypatch):
+    import parityflux.cli as cli
+    import parityflux.device as device
+
+    calls = []
+    original = device.parse_config_text
+
+    def counting(text, *a, **kw):
+        calls.append(text)
+        return original(text, *a, **kw)
+
+    monkeypatch.setattr(device, "parse_config_text", counting)
+    monkeypatch.setattr(cli, "parse_config_text", counting, raising=False)
+    out = str(tmp_path / "once.csv")
+    assert run(["sweep", "--config", cfg, "--flux", "0:0.5:2",
+                "--out", out]) == 0
+    assert len(calls) == 1
+    head = [l for l in open(out) if l.startswith("# config_values:")]
+    assert head == ["# config_values: ec=0.352 ej1=2.465 ej2=8.045 "
+                    "fp_ghz=109 fq0_ghz=5.0594 fq_half_ghz=3.5624 "
+                    "g_other_per_s=8e-08 gap_diff=4.844 gap_mean=51.8 "
+                    "nbar=0.0021 s_per_s=11 t_ph=0.05\n"]
+
+
 def test_spectrum_csv_schema(cfg, tmp_path):
     out = str(tmp_path / "s.csv")
     assert run(["spectrum", "--config", cfg, "--flux", "0:0.5:3",

@@ -30,6 +30,11 @@ def test_invariants_rejected():
         DeviceParams(dynes=0.5)
     with pytest.raises(ValueError):
         DeviceParams(volume_low=0.0)
+    # NaN passes every range comparison; each field is checked for finiteness
+    for name in ("ej1", "gap_diff", "t_ph", "dos_fermi"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="%s must be finite" % name):
+                DeviceParams(**{name: bad})
 
 
 def test_flux_to_fq_endpoints(fmap):

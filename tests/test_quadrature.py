@@ -50,3 +50,13 @@ def test_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError) as err:
         adaptive_quad(noisy, 0.0, 1.0, rtol=1e-12, max_intervals=64)
     assert err.value.interval is not None
+
+
+@pytest.mark.parametrize("f", [lambda x: x * math.nan,
+                               lambda x: np.where(x > 0.7, np.nan, x),
+                               lambda x: 1.0 / (x - x)])
+def test_non_finite_integrand_raises(f):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="not finite") as err:
+            adaptive_quad(f, 0.0, 1.0)
+    assert err.value.interval is not None

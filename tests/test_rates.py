@@ -50,6 +50,10 @@ def test_photon_drive_invariants():
     with pytest.raises(ValueError):
         PhotonDrive(f_p=100.0, n_bar=-0.1)
     PhotonDrive(f_p=-1.0, n_bar=0.0)  # f_p only matters when occupied
+    with pytest.raises(ValueError, match="n_bar must be finite"):
+        PhotonDrive(f_p=100.0, n_bar=math.nan)
+    with pytest.raises(ValueError, match="f_p must be finite"):
+        PhotonDrive(f_p=math.nan, n_bar=0.0)
 
 
 def test_nups_zero_without_qps(device):

@@ -17,6 +17,9 @@ def test_dynamics_params_defaults_and_validation():
     assert dyn.s == 11.0 and dyn.g_other == 8e-8
     with pytest.raises(ValueError):
         DynamicsParams(s=-1.0)
+    for name in ("s", "r", "g_other"):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            DynamicsParams(**{name: math.nan})
 
 
 def test_decoupled_quadratic_root():

@@ -87,6 +87,66 @@ def test_mu_from_xqp_degenerate_error():
         mu_from_xqp(GAP_L, 0.05, 0.5)
 
 
+def _mu_reference(gap, t, x_qp, dynes, rtol=1e-10):
+    """Root of xqp_from_mu(mu) = x_qp by brentq over direct quadratures."""
+    from scipy.optimize import brentq
+
+    kt = KB_GHZ_PER_K * t
+    mu_est = kt * math.log(x_qp / xqp_from_mu(gap, t, 0.0, dynes, rtol))
+    lo, hi = mu_est - 4.0 * kt, min(mu_est + 4.0 * kt, gap - 1e-9)
+    return brentq(lambda mu: xqp_from_mu(gap, t, mu, dynes, rtol) - x_qp,
+                  lo, hi, xtol=1e-14, rtol=1e-13)
+
+
+@pytest.mark.parametrize("t", [0.02, 0.05, 0.12, 0.2, 0.26])
+@pytest.mark.parametrize("gap", [GAP_L, GAP_H])
+def test_mu_from_xqp_matches_direct_quadrature_root(t, gap):
+    kt = KB_GHZ_PER_K * t
+    for mu in np.linspace(-5.0 * kt, gap - 2.05 * kt, 6):
+        x = xqp_from_mu(gap, t, mu, 1e-4)
+        got = mu_from_xqp(gap, t, x, 1e-4)
+        assert abs(got - _mu_reference(gap, t, x, 1e-4)) <= 1e-10 * kt
+
+
+@pytest.mark.parametrize("t", [0.05, 0.26])
+def test_mu_from_xqp_degenerate_threshold_unchanged(t):
+    # the error fires where the Boltzmann estimate from the direct thermal
+    # density reaches gap - 2 kT
+    kt = KB_GHZ_PER_K * t
+    x_crit = (xqp_from_mu(GAP_L, t, 0.0, 1e-4)
+              * math.exp((GAP_L - 2.0 * kt) / kt))
+    mu = mu_from_xqp(GAP_L, t, x_crit * (1 - 1e-6), 1e-4)
+    # Fermi occupation puts the root above the Boltzmann estimate
+    assert GAP_L - 2.0 * kt < mu < GAP_L - kt
+    with pytest.raises(ValueError, match="kT of the gap"):
+        mu_from_xqp(GAP_L, t, x_crit * (1 + 1e-6), 1e-4)
+
+
+def test_mu_from_xqp_one_quadrature_per_call(monkeypatch):
+    import parityflux.superconductor as sc
+
+    calls = []
+    original = sc.adaptive_quad
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(sc, "adaptive_quad", counting)
+    for x in (1e-12, 6.2e-9, 1e-6):
+        before = len(calls)
+        mu_from_xqp(GAP_L, 0.05, x, 1e-4)
+        assert len(calls) - before == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_density_and_mu_rejected(bad):
+    with pytest.raises(ValueError, match="x_qp must be finite"):
+        mu_from_xqp(GAP_L, 0.05, bad, 1e-4)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        xqp_from_mu(GAP_L, 0.05, bad, 1e-4)
+
+
 # ---------------------------------------------------------------- NUPS
 
 def test_nups_vanishes_without_qps():
