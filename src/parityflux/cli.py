@@ -205,11 +205,32 @@ def cmd_sweep(args):
     return 0
 
 
+def _read_table(path):
+    """Header cells and (line number, cells) data rows of a CSV file;
+    blank lines and '#' comment lines are skipped."""
+    with open(path) as fh:
+        rows = [(n, [c.strip() for c in ln.strip().split(",")])
+                for n, ln in enumerate(fh, 1)
+                if ln.strip() and not ln.startswith("#")]
+    if not rows:
+        raise UsageError("data file %s has no header line" % path)
+    return rows[0][1], rows[1:]
+
+
+def _row_values(path, row, columns):
+    """Floats in the given columns of a data row from _read_table."""
+    lineno, cells = row
+    try:
+        return [float(cells[c]) for c in columns]
+    except (IndexError, ValueError):
+        raise UsageError("%s line %d: expected numbers in columns %s, got %r"
+                         % (path, lineno, ", ".join(str(c + 1) for c in columns),
+                            ",".join(cells)))
+
+
 def _read_data_csv(path, fmap):
     """phi (or fq_ghz), gamma_per_s, sigma_per_s columns."""
-    with open(path) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = [c.strip() for c in rows[0].split(",")]
+    header, rows = _read_table(path)
     for need in ("gamma_per_s", "sigma_per_s"):
         if need not in header:
             raise UsageError("data file %s lacks column %r" % (path, need))
@@ -221,14 +242,13 @@ def _read_data_csv(path, fmap):
         convert = lambda v: fq_to_flux(fmap, v)
     else:
         raise UsageError("data file %s needs a 'phi' or 'fq_ghz' column" % path)
-    gcol = header.index("gamma_per_s")
-    scol = header.index("sigma_per_s")
+    columns = (xcol, header.index("gamma_per_s"), header.index("sigma_per_s"))
     phi, gam, sig = [], [], []
-    for row in rows[1:]:
-        vals = [float(v) for v in row.split(",")]
-        phi.append(convert(vals[xcol]))
-        gam.append(vals[gcol])
-        sig.append(vals[scol])
+    for row in rows:
+        x, g, s = _row_values(path, row, columns)
+        phi.append(convert(x))
+        gam.append(g)
+        sig.append(s)
     return np.array(phi), np.array(gam), np.array(sig)
 
 
@@ -304,9 +324,8 @@ def cmd_fit(args):
 
 def cmd_thermal_fit(args):
     params, fmap, dyn_cfg, cfg_vals = _load_device(args)
-    with open(args.data) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    data = [tuple(float(v) for v in r.split(",")[:2]) for r in rows[1:]]
+    data = [tuple(_row_values(args.data, row, (0, 1)))
+            for row in _read_table(args.data)[1]]
     gap_mean, extra, res = fit_thermal(data, params, mode=args.mode)
     lines = _manifest_lines("thermal-fit", args, args.config, cfg_vals,
                             data_paths=[args.data])
@@ -320,9 +339,8 @@ def cmd_thermal_fit(args):
 
 
 def cmd_lamp(args):
-    with open(args.data) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    data = [tuple(float(v) for v in r.split(",")[:2]) for r in rows[1:]]
+    data = [tuple(_row_values(args.data, row, (0, 1)))
+            for row in _read_table(args.data)[1]]
     theta, res = fit_lamp(data, t_mc=args.t_mc)
     lines = _manifest_lines("lamp", args, None, None, data_paths=[args.data])
     lines.append("k_agg_k2_per_uw = %.8g" % theta.k_agg)
@@ -559,7 +577,8 @@ def main(argv=None):
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except (ConfigError, ValueError, SteadyStateError, TruncationError,
-            QuadratureError, BandwidthError, DegenerateFitError) as exc:
+            QuadratureError, BandwidthError, DegenerateFitError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print("done in %.2f s" % (time.time() - t0), file=sys.stderr)

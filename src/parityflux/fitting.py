@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import thermal_energy_ghz
-from .device import DeviceParams, cooper_pair_number
+from .device import DeviceParams
 from .quadrature import adaptive_quad
 from .rates import (DEFAULT_NG, dilute_tables_grid, flux_point,
-                    nups_rates, paps_unit_grid)
-from .steady_state import DynamicsParams, solve_balance
+                    nups_rates, paps_unit_grid, rho_weighted)
+from .steady_state import DynamicsParams, balance_curve
+# unused here; perfbench/tracer.py checks that fitting.solve_balance resolves
+from .steady_state import solve_balance  # noqa: F401
 from .superconductor import FilmState
 
 FIT_PARAMETERS = ("f_P", "n_bar", "s", "g_other", "gap_diff")
@@ -279,9 +281,13 @@ class FitResult:
 class GammaModel:
     """Evaluates the self-consistent Gamma(Phi) model for a FitProblem.
 
-    Diagonalization products are computed once per dataset grid; structure
-    factor tables are memoized on (gap_diff, f_P) so damping steps that only
-    move n_bar, s or g_other cost no quadrature at all.
+    Diagonalization products are computed once per dataset grid; the dilute
+    NUPS tables are memoized on gap_diff and the unit PAPS grids on
+    (gap_diff, f_P), so damping steps that only move n_bar, s or g_other cost
+    no quadrature at all.  Each evaluation sums the photon modes' Gamma_P,
+    solves the density balance per flux point (steady_state.balance_curve)
+    and returns the rho-weighted Gamma_N + Gamma_P; it never computes
+    chemical potentials.
     """
 
     def __init__(self, problem: FitProblem, params: DeviceParams,
@@ -340,35 +346,23 @@ class GammaModel:
         """Model Gamma arrays for every dataset at a slot vector."""
         per = self.dataset_values(vector)
         rho = self.problem.rho
-        r0, r1 = rho
         out = []
         for ds_idx, vals in enumerate(per):
             gap_diff = vals.get("gap_diff", self.base.gap_diff)
             params = self.base.with_(gap_diff=float(gap_diff))
             dyn = DynamicsParams(s=vals.get("s", 0.0), r=self.r,
                                  g_other=vals.get("g_other", 0.0))
-            n_cp = cooper_pair_number(params.gap_low, params.volume_low,
-                                      params.dos_fermi)
             modes = []
             if self.problem.lamp_mode and ds_idx > 0:
                 bg = per[0]
                 modes.append((bg["f_P"], bg["n_bar"]))
             modes.append((vals["f_P"], vals["n_bar"]))
-            tables = self._tables(gap_diff, ds_idx)
-            unit_sets = [self._paps_units(gap_diff, fp, ds_idx) for fp, _ in modes]
-            curve = np.empty(len(tables))
-            for k, tab in enumerate(tables):
-                gamma_p = sum(nb * units[k] for (_, nb), units in zip(modes, unit_sets))
-                gp_tot = r0 * (gamma_p[0, 0] + gamma_p[0, 1]) \
-                    + r1 * (gamma_p[1, 1] + gamma_p[1, 0])
-                g03 = tab.per_qp(rho, n_cp, "low_to_high")
-                g30 = tab.per_qp(rho, n_cp, "high_to_low")
-                x0, x2 = solve_balance(gp_tot / n_cp + dyn.g_other, dyn, g03,
-                                       g30, tab.eta, self.problem.model)
-                gn = tab.gamma_n(x0, x2)
-                gn_tot = r0 * (gn[0, 0] + gn[0, 1]) + r1 * (gn[1, 1] + gn[1, 0])
-                curve[k] = gp_tot + gn_tot
-            out.append(curve)
+            gamma_p = sum(nb * self._paps_units(gap_diff, fp, ds_idx)
+                          for fp, nb in modes)
+            solved = balance_curve(params, dyn, self._tables(gap_diff, ds_idx),
+                                   gamma_p, rho, self.problem.model)
+            gamma_n = np.array([gn for _, _, gn in solved])
+            out.append(rho_weighted(gamma_p, rho) + rho_weighted(gamma_n, rho))
         return out
 
     def residuals(self, vector):
@@ -530,8 +524,7 @@ def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
                       x_qp=0.0, volume=params.volume_high, dynes=params.dynes)
     _, tot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point,
                         convention=convention)
-    r0, r1 = rho
-    return float(r0 * (tot[0, 0] + tot[0, 1]) + r1 * (tot[1, 1] + tot[1, 0]))
+    return float(rho_weighted(tot, rho))
 
 
 def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",

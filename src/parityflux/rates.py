@@ -38,7 +38,8 @@ from .device import DeviceParams, cooper_pair_number, require_finite
 from .constants import thermal_energy_ghz
 from .spectrum import (DEFAULT_NG, DEFAULT_NTRUNC, Junction,
                        charge_matrix_elements, parity_spectrum)
-from .superconductor import FilmState, nups_integral, paps_integral, xqp_from_mu
+from .superconductor import (FilmState, nups_integral, nups_integral_grid,
+                             paps_integral_grid, xqp_from_mu)
 
 # transitions tracked: (initial, final) plasmon indices
 TRANSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -82,6 +83,9 @@ class FluxPoint:
 
 
 def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG, n_trunc=DEFAULT_NTRUNC):
+    for name, value in (("phi", phi), ("n_g", n_g)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     spec = parity_spectrum(params, phi, n_g, n_trunc, check_convergence=False)
     mels = {j: charge_matrix_elements(params, phi, n_g, j, n_trunc)
             for j in (Junction.J1, Junction.J2)}
@@ -105,8 +109,52 @@ def nups_prefactor_per_s(f_ej_ghz, convention="calibrated"):
     return base if convention == "derived" else base / (2.0 * math.pi)
 
 
+def rho_weighted(g, rho):
+    """Total rate of a channel matrix g[..., i, j] (i -> j) with the qubit
+    in state 0 or 1 with probabilities rho = (rho0, rho1)."""
+    r0, r1 = rho
+    # t[j, i] is g[..., i, j]; plain indexing of a 2x2 matrix is 2x faster
+    # than g[..., i, j], and this runs once per Newton solve in fit loops
+    t = np.asarray(g).T
+    return r0 * (t[0, 0] + t[1, 0]) + r1 * (t[1, 1] + t[0, 1])
+
+
+class ChannelTotals:
+    """rho-weighted totals of a record with 2x2 gamma_n, gamma_p and rho."""
+
+    @property
+    def gamma_n_total(self):
+        return float(rho_weighted(self.gamma_n, self.rho))
+
+    @property
+    def gamma_p_total(self):
+        return float(rho_weighted(self.gamma_p, self.rho))
+
+    @property
+    def gamma_total(self):
+        return self.gamma_n_total + self.gamma_p_total
+
+
+def _junction_rates(params: DeviceParams, points, pair_of, weight):
+    """Per-junction channel rates weight(f_EJ) [m_cos S_- + m_sin S_+].
+
+    ``pair_of(i, j)`` gives the (S_+, S_-) pairs of transition i -> j at the
+    K flux points, shape (K, 2) or (2,) at K = 1; ``weight`` maps a
+    junction's E_J/h to its prefactor, a scalar or an array broadcasting
+    against (K, 2, 2).  Returns {Junction: (K, 2, 2)}.
+    """
+    s = np.stack([np.reshape(pair_of(i, j), (-1, 2)) for (i, j) in TRANSITIONS],
+                 axis=1).reshape(-1, 2, 2, 2)
+    out = {}
+    for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
+        m_cos = np.array([pt.mels[junction].m_cos for pt in points])
+        m_sin = np.array([pt.mels[junction].m_sin for pt in points])
+        out[junction] = weight(f_ej) * (m_cos * s[..., 1] + m_sin * s[..., 0])
+    return out
+
+
 @dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(ChannelTotals):
     """All parity-switching channels at one flux point (rates in 1/s)."""
 
     phi: float
@@ -120,22 +168,6 @@ class RateBreakdown:
     @property
     def gamma(self):
         return self.gamma_n + self.gamma_p
-
-    @property
-    def gamma_n_total(self):
-        return self._weighted(self.gamma_n)
-
-    @property
-    def gamma_p_total(self):
-        return self._weighted(self.gamma_p)
-
-    @property
-    def gamma_total(self):
-        return self.gamma_n_total + self.gamma_p_total
-
-    def _weighted(self, g):
-        r0, r1 = self.rho
-        return float(r0 * (g[0, 0] + g[0, 1]) + r1 * (g[1, 1] + g[1, 0]))
 
 
 def _film_pauli(film):
@@ -153,32 +185,21 @@ def nups_rates(params: DeviceParams, phi, left: FilmState, right: FilmState,
     exact to 1e-6.
     """
     point = point or flux_point(params, phi, n_g)
-    per_junction = {}
-    total = np.zeros((2, 2))
     dirs = ("lr", "rl") if direction == "both" else (direction,)
-    spairs = {}
+    pairs = {}  # distinct qubit energy -> (S_+, S_-) summed over directions
     for dname in dirs:
         occ, emp = (left, right) if dname == "lr" else (right, left)
         use_mb = occ.boltzmann_ok() if boltzmann is None else boltzmann
         pauli = _film_pauli(emp) and not use_mb
-        for (i, j) in TRANSITIONS:
-            om = _transition_omega(point.fq, i, j)
-            if (om, dname) not in spairs:
-                spairs[(om, dname)] = nups_integral(
-                    om, occ, emp, rtol=rtol, pauli_blocking=pauli,
-                    boltzmann=use_mb, mean_gap=params.gap_mean)
-    for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
-        m = point.mels[junction]
-        pref = nups_prefactor_per_s(f_ej, convention)
-        g = np.zeros((2, 2))
-        for (i, j) in TRANSITIONS:
-            om = _transition_omega(point.fq, i, j)
-            s_plus = sum(spairs[(om, d)][0] for d in dirs)
-            s_minus = sum(spairs[(om, d)][1] for d in dirs)
-            g[i, j] = pref * (m.m_cos[i, j] * s_minus + m.m_sin[i, j] * s_plus)
-        per_junction[junction] = g
-        total = total + g
-    return per_junction, total
+        for om in (0.0, point.fq, -point.fq):
+            pairs[om] = pairs.get(om, 0.0) + nups_integral(
+                om, occ, emp, rtol=rtol, pauli_blocking=pauli,
+                boltzmann=use_mb, mean_gap=params.gap_mean)
+    rates = _junction_rates(
+        params, [point], lambda i, j: pairs[_transition_omega(point.fq, i, j)],
+        lambda f_ej: nups_prefactor_per_s(f_ej, convention))
+    per_junction = {junction: g[0] for junction, g in rates.items()}
+    return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
 
 
 def paps_prefactor_per_s(params: DeviceParams, n_bar, f_p, fq,
@@ -219,29 +240,30 @@ def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
     for mode in drives:
         if mode.n_bar == 0.0:
             continue
-        for (i, j) in TRANSITIONS:
-            om = _transition_omega(point.fq, i, j)
-            s_lr = paps_integral(om, mode.f_p, lfilm, rfilm, rtol=rtol,
-                                 pauli_blocking=pauli, mean_gap=params.gap_mean)
-            s_rl = paps_integral(om, mode.f_p, rfilm, lfilm, rtol=rtol,
-                                 pauli_blocking=pauli, mean_gap=params.gap_mean)
-            s_plus = s_lr[0] + s_rl[0]
-            s_minus = s_lr[1] + s_rl[1]
-            pref = paps_prefactor_per_s(params, mode.n_bar, mode.f_p, point.fq,
-                                        convention, omega_q)
-            for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
-                m = point.mels[junction]
-                per_junction[junction][i, j] += (
-                    pref * (f_ej / ej_sum)
-                    * (m.m_cos[i, j] * s_minus + m.m_sin[i, j] * s_plus)
-                )
-    total = per_junction[Junction.J1] + per_junction[Junction.J2]
-    return per_junction, total
+        pref = paps_prefactor_per_s(params, mode.n_bar, mode.f_p, point.fq,
+                                    convention, omega_q)
+        rates = _junction_rates(
+            params, [point],
+            _paps_pairs(params, [point], mode.f_p, lfilm, rfilm, pauli, rtol),
+            lambda f_ej: pref * (f_ej / ej_sum))
+        for junction, g in rates.items():
+            per_junction[junction] = per_junction[junction] + g[0]
+    return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
 
 
-def _bare_film(params, low):
+def _paps_pairs(params, points, f_p, left, right, pauli, rtol):
+    """pair_of for _junction_rates: the PAPS pairs with the photon's first
+    QP on the left film plus those with it on the right film."""
+    fqs = np.array([pt.fq for pt in points])
+    return lambda i, j: sum(
+        paps_integral_grid(fqs * (j - i), f_p, a, b, rtol=rtol,
+                           pauli_blocking=pauli, mean_gap=params.gap_mean)
+        for a, b in ((left, right), (right, left)))
+
+
+def _bare_film(params, low, mu=-math.inf):
     gap = params.gap_low if low else params.gap_high
-    return FilmState(gap=gap, temperature=params.t_ph, mu=-math.inf,
+    return FilmState(gap=gap, temperature=params.t_ph, mu=mu,
                      x_qp=0.0, volume=params.volume_low if low else params.volume_high,
                      dynes=params.dynes)
 
@@ -284,39 +306,17 @@ class DiluteTables:
         return self.lr * (x0 / self.x_ref) + self.rl * (x2 / self.x_ref)
 
     def per_qp(self, rho, n_cp_low, direction):
-        r0, r1 = rho
-        t = self.lr if direction == "low_to_high" else self.rl
-        weighted = r0 * (t[0, 0] + t[0, 1]) + r1 * (t[1, 1] + t[1, 0])
         if direction == "low_to_high":
-            return weighted / (self.x_ref * n_cp_low)
-        return weighted / (self.x_ref * math.exp(-self.eta) * n_cp_low)
+            return rho_weighted(self.lr, rho) / (self.x_ref * n_cp_low)
+        return (rho_weighted(self.rl, rho)
+                / (self.x_ref * math.exp(-self.eta) * n_cp_low))
 
 
 def dilute_tables(params: DeviceParams, phi, n_g=DEFAULT_NG, rtol=1e-8,
                   point=None, convention="calibrated"):
-    """Dilute NUPS rate tables at one flux point."""
+    """Dilute NUPS rate tables at one flux point: dilute_tables_grid at K = 1."""
     point = point or flux_point(params, phi, n_g)
-    kt = thermal_energy_ghz(params.t_ph)
-    low = FilmState(gap=params.gap_low, temperature=params.t_ph, mu=0.0,
-                    x_qp=0.0, volume=params.volume_low, dynes=params.dynes)
-    high = FilmState(gap=params.gap_high, temperature=params.t_ph, mu=0.0,
-                     x_qp=0.0, volume=params.volume_high, dynes=params.dynes)
-    lr = np.zeros((2, 2))
-    rl = np.zeros((2, 2))
-    for (i, j) in TRANSITIONS:
-        om = _transition_omega(point.fq, i, j)
-        s_lr = nups_integral(om, low, high, rtol=rtol, pauli_blocking=False,
-                             boltzmann=True, mean_gap=params.gap_mean)
-        s_rl = nups_integral(om, high, low, rtol=rtol, pauli_blocking=False,
-                             boltzmann=True, mean_gap=params.gap_mean)
-        for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
-            m = point.mels[junction]
-            pref = nups_prefactor_per_s(f_ej, convention)
-            lr[i, j] += pref * (m.m_cos[i, j] * s_lr[1] + m.m_sin[i, j] * s_lr[0])
-            rl[i, j] += pref * (m.m_cos[i, j] * s_rl[1] + m.m_sin[i, j] * s_rl[0])
-    x_ref = xqp_from_mu(params.gap_low, params.t_ph, 0.0, params.dynes, rtol=1e-10)
-    eta = params.gap_diff / kt
-    return DiluteTables(point=point, lr=lr, rl=rl, x_ref=x_ref, eta=eta)
+    return dilute_tables_grid(params, [point], rtol, convention=convention)[0]
 
 
 def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8,
@@ -327,66 +327,37 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8,
     adaptive integrals shared across the whole grid, which is what makes
     curve evaluation inside fit loops cheap.
     """
-    kt = thermal_energy_ghz(params.t_ph)
-    low = FilmState(gap=params.gap_low, temperature=params.t_ph, mu=0.0,
-                    x_qp=0.0, volume=params.volume_low, dynes=params.dynes)
-    high = FilmState(gap=params.gap_high, temperature=params.t_ph, mu=0.0,
-                     x_qp=0.0, volume=params.volume_high, dynes=params.dynes)
     fqs = np.array([pt.fq for pt in points])
-    npts = len(points)
-    lr = np.zeros((npts, 2, 2))
-    rl = np.zeros((npts, 2, 2))
-    from .superconductor import nups_integral_grid
-    for (i, j) in TRANSITIONS:
-        omegas = fqs * (j - i)
-        s_lr = nups_integral_grid(omegas, low, high, rtol=rtol,
-                                  pauli_blocking=False, boltzmann=True,
-                                  mean_gap=params.gap_mean)
-        s_rl = nups_integral_grid(omegas, high, low, rtol=rtol,
-                                  pauli_blocking=False, boltzmann=True,
-                                  mean_gap=params.gap_mean)
-        for k, pt in enumerate(points):
-            for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
-                m = pt.mels[junction]
-                pref = nups_prefactor_per_s(f_ej, convention)
-                lr[k, i, j] += pref * (m.m_cos[i, j] * s_lr[k, 1]
-                                       + m.m_sin[i, j] * s_lr[k, 0])
-                rl[k, i, j] += pref * (m.m_cos[i, j] * s_rl[k, 1]
-                                       + m.m_sin[i, j] * s_rl[k, 0])
+
+    def channels(occ, emp):
+        return sum(_junction_rates(
+            params, points,
+            lambda i, j: nups_integral_grid(
+                fqs * (j - i), occ, emp, rtol=rtol, pauli_blocking=False,
+                boltzmann=True, mean_gap=params.gap_mean),
+            lambda f_ej: nups_prefactor_per_s(f_ej, convention)).values())
+
+    low, high = _bare_film(params, True, mu=0.0), _bare_film(params, False, mu=0.0)
+    lr, rl = channels(low, high), channels(high, low)
     x_ref = xqp_from_mu(params.gap_low, params.t_ph, 0.0, params.dynes,
                         rtol=1e-10)
-    eta = params.gap_diff / kt
+    eta = params.gap_diff / thermal_energy_ghz(params.t_ph)
     return [DiluteTables(point=pt, lr=lr[k], rl=rl[k], x_ref=x_ref, eta=eta)
             for k, pt in enumerate(points)]
 
 
 def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8,
                    convention="calibrated", omega_q=None):
-    """Junction-summed PAPS 2x2 per unit n_bar for many flux points."""
-    from .superconductor import paps_integral_grid
-
-    lfilm = _bare_film(params, low=True)
-    rfilm = _bare_film(params, low=False)
+    """Junction-summed PAPS 2x2 per unit n_bar for many flux points; returns
+    a (K, 2, 2) array."""
     fqs = np.array([pt.fq for pt in points])
-    npts = len(points)
+    pref = np.reshape(paps_prefactor_per_s(params, 1.0, f_p, fqs, convention,
+                                           omega_q), (-1, 1, 1))
     ej_sum = params.ej1 + params.ej2
-    out = [np.zeros((2, 2)) for _ in range(npts)]
-    for (i, j) in TRANSITIONS:
-        omegas = fqs * (j - i)
-        s_lr = paps_integral_grid(omegas, f_p, lfilm, rfilm, rtol=rtol,
-                                  pauli_blocking=False, mean_gap=params.gap_mean)
-        s_rl = paps_integral_grid(omegas, f_p, rfilm, lfilm, rtol=rtol,
-                                  pauli_blocking=False, mean_gap=params.gap_mean)
-        for k, pt in enumerate(points):
-            pref = paps_prefactor_per_s(params, 1.0, f_p, fqs[k], convention,
-                                        omega_q)
-            s_plus = s_lr[k, 0] + s_rl[k, 0]
-            s_minus = s_lr[k, 1] + s_rl[k, 1]
-            for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
-                m = pt.mels[junction]
-                out[k][i, j] += (pref * (f_ej / ej_sum)
-                                 * (m.m_cos[i, j] * s_minus + m.m_sin[i, j] * s_plus))
-    return out
+    pairs = _paps_pairs(params, points, f_p, _bare_film(params, low=True),
+                        _bare_film(params, low=False), False, rtol)
+    return sum(_junction_rates(params, points, pairs,
+                               lambda f_ej: pref * (f_ej / ej_sum)).values())
 
 
 def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
@@ -407,12 +378,11 @@ def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
 
 def paps_unit_rates(params: DeviceParams, phi, f_p, n_g=DEFAULT_NG, rtol=1e-8,
                     point=None, convention="calibrated", omega_q=None):
-    """Junction-summed 2x2 PAPS matrix per unit mode occupation (dilute)."""
+    """Junction-summed 2x2 PAPS matrix per unit mode occupation (dilute):
+    paps_unit_grid at K = 1."""
     point = point or flux_point(params, phi, n_g)
-    _, tot = paps_rates(params, phi, PhotonDrive(f_p=f_p, n_bar=1.0),
-                        n_g=n_g, rtol=rtol, point=point,
-                        convention=convention, omega_q=omega_q)
-    return tot
+    return paps_unit_grid(params, [point], f_p, rtol, convention=convention,
+                          omega_q=omega_q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +403,8 @@ def paps_flux_profile(params, f_p, flux_grid, rho=(0.5, 0.5), n_g=DEFAULT_NG,
                       rtol=1e-8, points=None, convention="calibrated"):
     """rho-weighted total PAPS rate per unit n_bar on a flux grid."""
     points = points or [flux_point(params, p, n_g) for p in flux_grid]
-    out = np.empty(len(points))
-    r0, r1 = rho
-    for k, pt in enumerate(points):
-        g = paps_unit_rates(params, pt.phi, f_p, n_g, rtol, point=pt,
-                            convention=convention)
-        out[k] = r0 * (g[0, 0] + g[0, 1]) + r1 * (g[1, 1] + g[1, 0])
-    return out
+    return rho_weighted(paps_unit_grid(params, points, f_p, rtol,
+                                       convention=convention), rho)
 
 
 def effective_single_frequency(spectrum_freqs, spectrum_weights,

@@ -13,6 +13,12 @@ full four-film form (a = b = 1 in the reduced two-density form).  Generation
 by pair-breaking photons, g_P = Gamma_P/N_CP, couples the photon drive into
 the densities; the per-QP tunneling rates gamma03/gamma30 carry the
 qubit-state-weighted measurement pumping.
+
+One loop, ``balance_curve``, solves this balance at every flux point from
+the per-point dilute NUPS tables and Gamma_P matrices.  ``gamma_curve``
+adds the chemical potentials (QPState) to its output, ``curve_point`` is
+that curve at one flux point, and the fit model sums the rho-weighted
+totals without building a QPState.
 """
 
 import math
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceParams, cooper_pair_number, require_finite
-from .rates import (DEFAULT_NG, DiluteTables, _drive_list, dilute_tables,
-                    dilute_tables_grid, flux_point, paps_rates,
-                    paps_unit_grid)
+from .rates import (DEFAULT_NG, ChannelTotals, _drive_list, dilute_tables,
+                    dilute_tables_grid, flux_point, paps_unit_grid,
+                    rho_weighted)
 from .superconductor import mu_from_xqp
 
 
@@ -108,7 +114,6 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
         f2 = g_per_side - s_eff * x2 - r_eff * x2 * x2 + gamma03 * x0 - t30 * x2
         return f0, f2
 
-    scale = max(g_per_side, s_eff * max(x0, x2), 1e-300)
     for _ in range(max_iter):
         f0, f2 = residuals(x0, x2)
         scale = max(g_per_side, s_eff * max(x0, x2), r_eff * max(x0, x2) ** 2,
@@ -138,24 +143,6 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
     )
 
 
-def _generation_per_side(params, dyn, tables: DiluteTables, drive, rho,
-                         rtol=1e-8, convention="calibrated"):
-    """g_P + g_other and the Gamma_P channel matrix for this flux point."""
-    n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
-                                  params.dos_fermi)
-    gamma_p = np.zeros((2, 2))
-    for mode in _drive_list(drive):
-        if mode.n_bar == 0.0:
-            continue
-        _, tot = paps_rates(params, tables.point.phi, mode,
-                            n_g=tables.point.n_g, rtol=rtol,
-                            point=tables.point, convention=convention)
-        gamma_p = gamma_p + tot
-    r0, r1 = rho
-    gp_total = r0 * (gamma_p[0, 0] + gamma_p[0, 1]) + r1 * (gamma_p[1, 1] + gamma_p[1, 0])
-    return gp_total / n_cp_low + dyn.g_other, gamma_p, n_cp_low
-
-
 def steady_state(params: DeviceParams, dyn: DynamicsParams, phi, drive,
                  rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
                  tables=None, convention="calibrated"):
@@ -164,8 +151,29 @@ def steady_state(params: DeviceParams, dyn: DynamicsParams, phi, drive,
                        tables=tables, convention=convention).state
 
 
+def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
+                  rho, model):
+    """Density balance at each flux point; returns [(x0, x2, Gamma_N), ...].
+
+    ``tables`` are the points' DiluteTables and ``gamma_p`` their
+    junction-summed 2x2 Gamma_P matrices.  Generation per side is
+    rho-weighted Gamma_P per Cooper pair plus g_other; the per-QP tunneling
+    rates come from the tables, and Gamma_N from the solved densities.
+    """
+    n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
+                                  params.dos_fermi)
+    out = []
+    for tab, gp in zip(tables, gamma_p):
+        x0, x2 = solve_balance(rho_weighted(gp, rho) / n_cp_low + dyn.g_other,
+                               dyn, tab.per_qp(rho, n_cp_low, "low_to_high"),
+                               tab.per_qp(rho, n_cp_low, "high_to_low"),
+                               tab.eta, model)
+        out.append((x0, x2, tab.gamma_n(x0, x2)))
+    return out
+
+
 @dataclass
-class CurvePoint:
+class CurvePoint(ChannelTotals):
     """One flux point of the modeled parity-switching curve."""
 
     phi: float
@@ -175,39 +183,30 @@ class CurvePoint:
     gamma_p: np.ndarray   # 2x2 junction-summed PAPS channels
     rho: tuple
 
-    def _weighted(self, g):
-        r0, r1 = self.rho
-        return float(r0 * (g[0, 0] + g[0, 1]) + r1 * (g[1, 1] + g[1, 0]))
 
-    @property
-    def gamma_n_total(self):
-        return self._weighted(self.gamma_n)
-
-    @property
-    def gamma_p_total(self):
-        return self._weighted(self.gamma_p)
-
-    @property
-    def gamma_total(self):
-        return self.gamma_n_total + self.gamma_p_total
+def _curve_points(params, dyn, tables, drive, rho, model, rtol, convention):
+    """CurvePoints for the flux points of ``tables`` (batched PAPS)."""
+    points = [tab.point for tab in tables]
+    gamma_p = np.zeros((len(points), 2, 2))
+    for mode in _drive_list(drive):
+        if mode.n_bar > 0:
+            gamma_p = gamma_p + mode.n_bar * paps_unit_grid(
+                params, points, mode.f_p, rtol, convention=convention)
+    solved = balance_curve(params, dyn, tables, gamma_p, rho, model)
+    return [CurvePoint(phi=tab.point.phi, fq=tab.point.fq,
+                       state=_qp_state(params, x0, x2, tab.eta),
+                       gamma_n=gn, gamma_p=gp, rho=tuple(rho))
+            for tab, gp, (x0, x2, gn) in zip(tables, gamma_p, solved)]
 
 
 def curve_point(params: DeviceParams, dyn: DynamicsParams, phi, drive,
                 rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
                 tables=None, convention="calibrated"):
-    """Solve the steady state and assemble the rate channels at one flux."""
+    """Model curve at one flux point (K = 1); ``tables`` reuses its dilute
+    NUPS tables across calls."""
     tables = tables or dilute_tables(params, phi, n_g, rtol, convention=convention)
-    n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
-                                  params.dos_fermi)
-    g_side, gamma_p, _ = _generation_per_side(params, dyn, tables, drive, rho,
-                                              rtol, convention)
-    gamma03 = tables.per_qp(rho, n_cp_low, "low_to_high")
-    gamma30 = tables.per_qp(rho, n_cp_low, "high_to_low")
-    x0, x2 = solve_balance(g_side, dyn, gamma03, gamma30, tables.eta, model)
-    return CurvePoint(phi=phi, fq=tables.point.fq,
-                      state=_qp_state(params, x0, x2, tables.eta),
-                      gamma_n=tables.gamma_n(x0, x2), gamma_p=gamma_p,
-                      rho=tuple(rho))
+    return _curve_points(params, dyn, [tables], drive, rho, model, rtol,
+                         convention)[0]
 
 
 def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
@@ -218,31 +217,11 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     The structure-factor tables for the whole grid are evaluated in batched
     quadrature passes; each flux point then costs only the Newton solve.
     """
-    flux_grid = np.asarray(flux_grid, dtype=float)
-    points = [flux_point(params, float(p), n_g) for p in flux_grid]
+    points = [flux_point(params, float(p), n_g)
+              for p in np.asarray(flux_grid, dtype=float)]
     tables = dilute_tables_grid(params, points, rtol, convention=convention)
-    modes = [m for m in _drive_list(drive) if m.n_bar > 0]
-    units = [paps_unit_grid(params, points, m.f_p, rtol, convention=convention)
-             for m in modes]
-    n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
-                                  params.dos_fermi)
-    r0, r1 = rho
-    out = []
-    for k, tab in enumerate(tables):
-        gamma_p = np.zeros((2, 2))
-        for mode, unit in zip(modes, units):
-            gamma_p = gamma_p + mode.n_bar * unit[k]
-        gp_tot = r0 * (gamma_p[0, 0] + gamma_p[0, 1]) \
-            + r1 * (gamma_p[1, 1] + gamma_p[1, 0])
-        g03 = tab.per_qp(rho, n_cp_low, "low_to_high")
-        g30 = tab.per_qp(rho, n_cp_low, "high_to_low")
-        x0, x2 = solve_balance(gp_tot / n_cp_low + dyn.g_other, dyn, g03, g30,
-                               tab.eta, model)
-        out.append(CurvePoint(phi=float(flux_grid[k]), fq=tab.point.fq,
-                              state=_qp_state(params, x0, x2, tab.eta),
-                              gamma_n=tab.gamma_n(x0, x2),
-                              gamma_p=gamma_p, rho=tuple(rho)))
-    return out
+    return _curve_points(params, dyn, tables, drive, rho, model, rtol,
+                         convention)
 
 
 def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,

@@ -10,6 +10,12 @@ singularities which are removed exactly by substituting eps = gap*cosh(u)
 at the singular endpoint; the Dynes broadening keeps the exactly-resonant
 case finite.
 
+Each integral has one batched path, ``nups_integral_grid`` and
+``paps_integral_grid``: K qubit energies are mapped onto t in [0, 1] with
+u = t*umax, so every substituted gap edge sits at t = 0, and all
+components are refined together by one adaptive quadrature.  The scalar
+``nups_integral`` and ``paps_integral`` are that path at K = 1.
+
 Sign convention: ``omega_ghz`` is the energy gained by the qubit during the
 tunneling event (positive for 0->1 excitation, negative for relaxation).
 The occupied QP therefore arrives at eps - omega, which is what detailed
@@ -17,7 +23,7 @@ balance and the gap-difference resonance condition require.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -69,7 +75,8 @@ def occupation(eps_ghz, t_kelvin, mu_ghz):
 @dataclass(frozen=True)
 class FilmState:
     """One superconducting film: gap, temperature, excess-QP chemical
-    potential, the matching reduced density, and the film volume."""
+    potential, the matching reduced density, and the film volume.  Every
+    field must be finite, except mu = -inf."""
 
     gap: float          # Delta/h (GHz)
     temperature: float  # K
@@ -79,6 +86,10 @@ class FilmState:
     dynes: float = 1e-4
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) or (f.name == "mu" and value == -math.inf)):
+                raise ValueError("%s must be finite, got %r" % (f.name, value))
         if self.x_qp < 0:
             raise ValueError("x_qp must be nonnegative")
         if self.mu >= self.gap:
@@ -183,65 +194,28 @@ def mu_from_xqp(gap, t_kelvin, x_qp, dynes=0.0, rtol=1e-10):
                   mu_est + kt, xtol=1e-14, rtol=1e-13)
 
 
-def _occupied_weight(eps, t_kelvin, mu, boltzmann):
-    if boltzmann:
-        return np.exp(-(eps - mu) / thermal_energy_ghz(t_kelvin))
-    return occupation(eps, t_kelvin, mu)
-
-
 def nups_integral(omega_ghz, occupied: FilmState, empty: FilmState,
                   rtol=1e-8, pauli_blocking=True, boltzmann=False,
                   mean_gap=None):
-    """Directional number-conserving structure factors (S_plus, S_minus).
-
-    The occupied film supplies a QP at eps; it lands on the other film at
-    eps - omega (omega = qubit energy gain).  Integration runs over the
-    gap-edge-truncated domain eps >= max(gap_occ, gap_empty + omega) so the
-    excitation and relaxation channels map onto each other exactly, which
-    keeps detailed balance exact even with Dynes broadening.
-    """
-    t = occupied.temperature
-    kt = thermal_energy_ghz(t)
-    mean_gap = mean_gap if mean_gap is not None else 0.5 * (occupied.gap + empty.gap)
-    if occupied.mu == -math.inf:
-        return np.zeros(2)
-    lo_occ = occupied.gap
-    lo_emp = empty.gap + omega_ghz
-    if lo_occ >= lo_emp:
-        edge_gap, shift = occupied.gap, 0.0
-    else:
-        edge_gap, shift = empty.gap, omega_ghz
-    e0 = edge_gap + shift
-    emax = e0 + _TAIL_EFOLDS * kt
-    umax = math.acosh((emax - shift) / edge_gap)
-    gg = occupied.gap * empty.gap
-
-    def integrand(u):
-        eps = edge_gap * np.cosh(u) + shift
-        jac = edge_gap * np.sinh(u)
-        ef = eps - omega_ghz
-        nu_occ = dos(eps, occupied.gap, occupied.dynes)
-        nu_emp = dos(ef, empty.gap, empty.dynes)
-        w = _occupied_weight(eps, t, occupied.mu, boltzmann) * nu_occ * nu_emp
-        if pauli_blocking and not boltzmann:
-            w = w * (1.0 - occupation(ef, t, empty.mu))
-        coh = gg / (eps * ef)
-        base = w * jac / mean_gap
-        return np.stack([base * (1.0 + coh), base * (1.0 - coh)], axis=-1)
-
-    out = adaptive_quad(integrand, 0.0, umax, rtol=rtol)
-    return np.asarray(out, dtype=float)
+    """Directional number-conserving structure factors (S_plus, S_minus) at
+    one qubit energy: nups_integral_grid at K = 1."""
+    return nups_integral_grid([omega_ghz], occupied, empty, rtol=rtol,
+                              pauli_blocking=pauli_blocking,
+                              boltzmann=boltzmann, mean_gap=mean_gap)[0]
 
 
 def nups_integral_grid(omegas_ghz, occupied: FilmState, empty: FilmState,
                        rtol=1e-8, pauli_blocking=True, boltzmann=False,
                        mean_gap=None):
-    """nups_integral for many omegas in one adaptive pass.
+    """Directional number-conserving structure factors; (K, 2) array of
+    (S_plus, S_minus) rows.
 
-    All component integrals are mapped onto t in [0, 1] (their gap-edge
-    singularities then share the t = 0 endpoint) and refined jointly; the
-    error criterion is relative to the largest component.  Returns an array
-    of shape (len(omegas), 2) holding (S_plus, S_minus) rows.
+    The occupied film supplies a QP at eps; it lands on the other film at
+    eps - omega (omega = qubit energy gain).  Each omega integrates over the
+    gap-edge-truncated domain eps >= max(gap_occ, gap_empty + omega) so the
+    excitation and relaxation channels map onto each other exactly, which
+    keeps detailed balance exact even with Dynes broadening.  The error
+    criterion is relative to the largest component.
     """
     omegas = np.asarray(omegas_ghz, dtype=float)
     k = omegas.size
@@ -250,37 +224,52 @@ def nups_integral_grid(omegas_ghz, occupied: FilmState, empty: FilmState,
     t = occupied.temperature
     kt = thermal_energy_ghz(t)
     mean_gap = mean_gap if mean_gap is not None else 0.5 * (occupied.gap + empty.gap)
-    lo_occ = np.full(k, occupied.gap)
-    lo_emp = empty.gap + omegas
-    use_occ = lo_occ >= lo_emp
+    use_occ = occupied.gap >= empty.gap + omegas
     edge = np.where(use_occ, occupied.gap, empty.gap)
     shift = np.where(use_occ, 0.0, omegas)
-    e0 = edge + shift
-    umax = np.arccosh((e0 + _TAIL_EFOLDS * kt - shift) / edge)
+    # edge + 40 kT, summed as (edge + shift) + 40 kT - shift: batched curves
+    # and the fit reports built on them depend on umax to the last bit
+    umax = np.arccosh((edge + shift + _TAIL_EFOLDS * kt - shift) / edge)
     gg = occupied.gap * empty.gap
 
     def integrand(tt):
-        u = tt[:, None] * umax[None, :]
-        eps = edge[None, :] * np.cosh(u) + shift[None, :]
-        jac = edge[None, :] * np.sinh(u) * umax[None, :]
-        ef = eps - omegas[None, :]
+        u = np.multiply.outer(tt, umax)
+        eps = edge * np.cosh(u) + shift
+        ef = eps - omegas
+        jac = edge * np.sinh(u) * umax
         nu = dos(eps, occupied.gap, occupied.dynes) * dos(ef, empty.gap, empty.dynes)
-        w = _occupied_weight(eps, t, occupied.mu, boltzmann) * nu
+        w = (np.exp(-(eps - occupied.mu) / kt) if boltzmann
+             else occupation(eps, t, occupied.mu)) * nu
         if pauli_blocking and not boltzmann:
             w = w * (1.0 - occupation(ef, t, empty.mu))
-        coh = gg / (eps * ef)
         base = w * jac / mean_gap
+        coh = gg / (eps * ef)
         return np.concatenate([base * (1.0 + coh), base * (1.0 - coh)], axis=1)
 
-    out = adaptive_quad(integrand, 0.0, 1.0, rtol=rtol)
-    out = np.atleast_1d(out)
-    return np.stack([out[:k], out[k:]], axis=1)
+    # components are ordered (S_plus of every omega, then S_minus)
+    return np.reshape(adaptive_quad(integrand, 0.0, 1.0, rtol=rtol), (2, k)).T
+
+
+def paps_integral(omega_ghz, f_photon, left: FilmState, right: FilmState,
+                  rtol=1e-8, pauli_blocking=True, mean_gap=None):
+    """Directional pair-breaking structure factors (S_plus, S_minus) at one
+    qubit energy: paps_integral_grid at K = 1."""
+    return paps_integral_grid([omega_ghz], f_photon, left, right, rtol=rtol,
+                              pauli_blocking=pauli_blocking,
+                              mean_gap=mean_gap)[0]
 
 
 def paps_integral_grid(omegas_ghz, f_photon, left: FilmState,
                        right: FilmState, rtol=1e-8, pauli_blocking=True,
                        mean_gap=None):
-    """paps_integral for many omegas in one adaptive pass; (K, 2) result."""
+    """Directional pair-breaking structure factors; (K, 2) array.
+
+    A photon of energy f_photon creates one QP at eps on the left film and
+    one at f_photon - omega - eps on the right film.  A row is zero when the
+    photon cannot supply both gap energies plus the qubit energy.  Both ends
+    are singular, so each omega is split at the midpoint and each half
+    substituted toward its own gap edge.
+    """
     omegas = np.asarray(omegas_ghz, dtype=float)
     k = omegas.size
     out = np.zeros((k, 2))
@@ -298,15 +287,13 @@ def paps_integral_grid(omegas_ghz, f_photon, left: FilmState,
     t = left.temperature
 
     def integrand(tt):
-        ul = tt[:, None] * umax_l[None, :]
-        eps_l = left.gap * np.cosh(ul)
-        jac_l = left.gap * np.sinh(ul) * umax_l[None, :]
-        ur = tt[:, None] * umax_r[None, :]
+        ul = np.multiply.outer(tt, umax_l)
+        ur = np.multiply.outer(tt, umax_r)
         e2_r = right.gap * np.cosh(ur)
-        jac_r = right.gap * np.sinh(ur) * umax_r[None, :]
-        eps = np.concatenate([eps_l, f_photon - om[None, :] - e2_r], axis=1)
-        jac = np.concatenate([jac_l, jac_r], axis=1)
-        e2 = f_photon - np.concatenate([om, om])[None, :] - eps
+        eps = np.concatenate([left.gap * np.cosh(ul), f_photon - om - e2_r], axis=1)
+        jac = np.concatenate([left.gap * np.sinh(ul) * umax_l,
+                              right.gap * np.sinh(ur) * umax_r], axis=1)
+        e2 = f_photon - np.concatenate([om, om]) - eps
         base = dos(eps, left.gap, left.dynes) * dos(e2, right.gap, right.dynes)
         if pauli_blocking:
             base = base * (1.0 - occupation(eps, t, left.mu)) \
@@ -342,56 +329,6 @@ def structure_factor_nups(omega_ghz, left: FilmState, right: FilmState,
                          pauli_blocking=pauli_blocking, boltzmann=boltzmann,
                          mean_gap=mean_gap)
     return float(pair[0] if sign > 0 else pair[1])
-
-
-def paps_integral(omega_ghz, f_photon, left: FilmState, right: FilmState,
-                  rtol=1e-8, pauli_blocking=True, mean_gap=None):
-    """Directional pair-breaking structure factors (S_plus, S_minus).
-
-    A photon of energy f_photon creates one QP at eps on the left film and
-    one at f_photon - eps - omega on the right film.  Returns zeros when the
-    photon cannot supply both gap energies plus the qubit energy.  The two
-    singular endpoints are handled by splitting at the midpoint and
-    substituting toward each edge.
-    """
-    mean_gap = mean_gap if mean_gap is not None else 0.5 * (left.gap + right.gap)
-    lo = left.gap
-    hi = f_photon - omega_ghz - right.gap
-    if hi <= lo:
-        return np.zeros(2)
-    mid = 0.5 * (lo + hi)
-    gg = left.gap * right.gap
-    t = left.temperature
-
-    def make(from_left):
-        if from_left:
-            gap_edge, to_eps = left.gap, lambda e: e
-            umax = math.acosh(mid / left.gap)
-        else:
-            gap_edge = right.gap
-            to_eps = lambda e2: f_photon - omega_ghz - e2
-            umax = math.acosh((f_photon - omega_ghz - mid) / right.gap)
-
-        def integrand(u):
-            ee = gap_edge * np.cosh(u)
-            jac = gap_edge * np.sinh(u)
-            eps = to_eps(ee)
-            e2 = f_photon - omega_ghz - eps
-            base = dos(eps, left.gap, left.dynes) * dos(e2, right.gap, right.dynes)
-            if pauli_blocking:
-                base = base * (1.0 - occupation(eps, t, left.mu)) \
-                            * (1.0 - occupation(e2, t, right.mu))
-            base = base * jac / mean_gap
-            coh = gg / (eps * e2)
-            return np.stack([base * (1.0 + coh), base * (1.0 - coh)], axis=-1)
-
-        return integrand, umax
-
-    total = np.zeros(2)
-    for from_left in (True, False):
-        f, umax = make(from_left)
-        total = total + np.asarray(adaptive_quad(f, 0.0, umax, rtol=rtol))
-    return total
 
 
 def structure_factor_paps(omega_ghz, f_photon, left: FilmState,

@@ -438,11 +438,16 @@ def write_trace(path, trace: JumpTrace):
                 fh.write("%+d\n" % s)
 
 
+_SAMPLES = {"+1": 1, "1": 1, "-1": -1}
+
+
 def read_trace(path):
+    """Read the write_trace format; a sample other than +1 or -1 raises
+    ValueError naming its line."""
     dt, fidelity = 10e-6, 1.0
     samples, labels = [], []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -454,7 +459,11 @@ def read_trace(path):
                     fidelity = float(body[9:])
                 continue
             parts = line.split()
-            samples.append(int(parts[0]))
+            sample = _SAMPLES.get(parts[0])
+            if sample is None:
+                raise ValueError("%s line %d: trace sample %r is not +1 or -1"
+                                 % (path, lineno, parts[0]))
+            samples.append(sample)
             if len(parts) > 1:
                 labels.append(int(parts[1]))
     lab = np.asarray(labels, dtype=np.int16) if labels else None

@@ -84,6 +84,8 @@ def test_bad_flux_spec_usage_error(cfg, tmp_path):
     (["--r", "inf"], "r"),
     (["--g-other", "nan"], "g_other"),
     (["--fp", "nan"], "f_p"),
+    (["--ng", "nan"], "n_g"),
+    (["--flux", "nan:0.5:3"], "phi"),
 ])
 def test_sweep_non_finite_parameter_is_domain_error(cfg, tmp_path, capsys,
                                                     extra, name):
@@ -104,6 +106,8 @@ def test_non_finite_config_and_density_are_domain_errors(tmp_path, capsys):
     assert run(["rates", "--flux", "0:0.5:3", "--x0", "nan", "--x3", "1e-10",
                 "--out", out]) == 1
     assert "x_qp must be finite" in capsys.readouterr().err
+    assert run(["steady-state", "--phi", "nan", "--out", out]) == 1
+    assert "phi must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -226,3 +230,40 @@ def test_lamp_cli(tmp_path):
     out = str(tmp_path / "lamp_fit.txt")
     assert run(["lamp", "--data", src, "--out", out]) == 0
     assert "k_agg" in open(out).read()
+
+
+def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):
+    fit_data = tmp_path / "short.csv"
+    fit_data.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n"
+                        "# comment\n0.25,420\n")
+    out = str(tmp_path / "o.txt")
+    assert run(["fit", "--config", cfg, "--data", str(fit_data),
+                "--bind", "n_bar:per", "--init", "f_P=110,n_bar=2e-3",
+                "--out", out]) == 2
+    assert "%s line 4" % fit_data in capsys.readouterr().err
+    thermal = tmp_path / "thermal.csv"
+    thermal.write_text("t_k,gamma_per_s\n0.1,40\n0.15,x\n")
+    assert run(["thermal-fit", "--data", str(thermal), "--out", out]) == 2
+    assert "%s line 3" % thermal in capsys.readouterr().err
+    lamp = tmp_path / "lamp.csv"
+    lamp.write_text("p_lamp_uw,gamma_per_s\n0.0,30\n1.4\n")
+    assert run(["lamp", "--data", str(lamp), "--out", out]) == 2
+    assert "%s line 3" % lamp in capsys.readouterr().err
+    trace = tmp_path / "trace.txt"
+    trace.write_text("# dt=1e-05\n" + "+1\n-1\n" * 50 + "3\n")
+    assert run(["telegraph", "analyze", "--trace", str(trace),
+                "--segment-len", "20", "--n-avg", "1", "--out", out]) == 1
+    assert "%s line 102" % trace in capsys.readouterr().err
+    # unreadable inputs are errors, not tracebacks
+    missing = str(tmp_path / "missing.csv")
+    for argv in (["fit", "--data", missing, "--bind", "n_bar:per",
+                  "--init", "f_P=110,n_bar=2e-3"],
+                 ["thermal-fit", "--data", missing],
+                 ["lamp", "--data", missing],
+                 ["sweep", "--config", missing, "--flux", "0:0.5:3"],
+                 ["telegraph", "analyze", "--trace", missing]):
+        assert run(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.csv" in err
+    assert not os.path.exists(out)
+

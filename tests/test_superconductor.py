@@ -235,6 +235,37 @@ def test_nups_boltzmann_shortcut_matches_fermi():
     assert fast[1] == pytest.approx(full[1], rel=1e-6)
 
 
+def _nups_reference_oracle(omega, occ, emp, n=200000):
+    """Midpoint rule at fixed very high resolution in u on [0, umax], with
+    eps = edge cosh(u) + shift from the binding gap edge (Fermi occupations,
+    Pauli blocking of the empty film)."""
+    t = occ.temperature
+    if occ.gap >= emp.gap + omega:
+        edge, shift = occ.gap, 0.0
+    else:
+        edge, shift = emp.gap, omega
+    umax = math.acosh((edge + 40.0 * KB_GHZ_PER_K * t) / edge)
+    u = (np.arange(n) + 0.5) * umax / n
+    eps = edge * np.cosh(u) + shift
+    ef = eps - omega
+    w = (dos(eps, occ.gap, occ.dynes) * dos(ef, emp.gap, emp.dynes)
+         * occupation(eps, t, occ.mu) * (1.0 - occupation(ef, t, emp.mu)))
+    base = w * edge * np.sinh(u) * (umax / n) / GBAR
+    coh = occ.gap * emp.gap / (eps * ef)
+    return np.array([np.sum(base * (1 + coh)), np.sum(base * (1 - coh))])
+
+
+@pytest.mark.parametrize("omega", [-5.06, -3.8, 0.0, 3.8])
+def test_nups_refinement_oracle(omega):
+    # occupied-edge (omega <= 0) and shifted empty-edge (omega > 0) domains
+    l, r = film(GAP_L, mu=40.0, t=0.1), film(GAP_H, mu=35.0, t=0.1)
+    for occ, emp in ((l, r), (r, l)):
+        mine = nups_integral(omega, occ, emp, rtol=1e-9, mean_gap=GBAR)
+        ref = _nups_reference_oracle(omega, occ, emp)
+        assert mine[0] == pytest.approx(ref[0], rel=1e-7)
+        assert mine[1] == pytest.approx(ref[1], rel=1e-7)
+
+
 def test_nups_grid_matches_scalar():
     l, r = film(GAP_L, mu=25.0), film(GAP_H, mu=20.0)
     omegas = np.array([-5.06, -1.0, 0.0, 2.2, 5.06])
@@ -339,3 +370,12 @@ def test_film_state_constructors():
         FilmState(gap=GAP_L, temperature=0.05, mu=GAP_L + 1, x_qp=0.0, volume=1.0)
     with pytest.raises(ValueError):
         FilmState(gap=GAP_L, temperature=0.05, mu=0.0, x_qp=-1.0, volume=1.0)
+    # NaN fails every range check, so it is rejected by name; mu may be -inf
+    assert FilmState(gap=GAP_L, temperature=0.05, mu=-math.inf, x_qp=0.0,
+                     volume=1.0).mu == -math.inf
+    for name in ("gap", "temperature", "mu", "x_qp", "volume", "dynes"):
+        fields = dict(gap=GAP_L, temperature=0.05, mu=0.0, x_qp=0.0,
+                      volume=1.0, dynes=1e-4)
+        fields[name] = math.nan
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            FilmState(**fields)

@@ -183,3 +183,11 @@ def test_trace_io_roundtrip(tmp_path):
     assert np.array_equal(back.samples, tr.samples)
     assert back.dt == tr.dt and back.fidelity == tr.fidelity
     assert np.array_equal(back.cluster_labels, tr.cluster_labels)
+
+
+def test_read_trace_rejects_non_unit_samples(tmp_path):
+    path = tmp_path / "trace.txt"
+    for bad in ("3", "0", "x", "+2"):
+        path.write_text("# dt=1e-05\n+1\n-1\n\n%s\n+1\n" % bad)
+        with pytest.raises(ValueError, match="line 5: trace sample"):
+            read_trace(path)
