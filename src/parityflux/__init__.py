@@ -21,9 +21,7 @@ from .device import (ConfigError, DeviceParams, FluxFrequencyMap,
 from .spectrum import (ChargeMatrixElements, Junction, SpectrumResult,
                        TruncationError, charge_matrix_elements, eigensystem,
                        parity_spectrum)
-from .superconductor import (FilmState, dos, mu_from_xqp, occupation,
-                             structure_factor_nups, structure_factor_paps,
-                             xqp_from_mu)
+from .superconductor import FilmState, dos, mu_from_xqp, occupation, xqp_from_mu
 from .rates import (PhotonDrive, RateBreakdown, blackbody_weights,
                     effective_single_frequency, nups_rates, paps_rates,
                     per_qp_tunneling, rate_breakdown)

@@ -9,6 +9,7 @@ success, 1 domain/numeric errors, 2 usage errors.
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -23,10 +24,9 @@ from .fitting import (DegenerateFitError, FitDataset, FitProblem, fit,
                       fit_lamp, fit_lamp_series, fit_thermal, lamp_model)
 from .quadrature import QuadratureError
 from .rates import DEFAULT_NG, PhotonDrive, rate_breakdown
-from .spectrum import (DEFAULT_NTRUNC, Junction, TruncationError,
-                       charge_matrix_elements, parity_spectrum)
+from .spectrum import DEFAULT_NTRUNC, Junction, TruncationError, solve_sectors
 from .steady_state import (DynamicsParams, SteadyStateError, curve_point,
-                           gamma_curve)
+                           gamma_curve, solve_trapping_for_density)
 from .superconductor import FilmState
 from .telegraph import (BandwidthError, BurstEvent, conditional_rates,
                         detect_bursts, gamma_statistics, psd_gamma,
@@ -87,9 +87,12 @@ def _fmt(x):
 def _parse_flux_grid(spec):
     try:
         a, b, n = spec.split(":")
-        return np.linspace(float(a), float(b), int(n))
-    except Exception:
-        raise UsageError("--flux expects start:stop:count, got %r" % spec)
+        if int(n) >= 1:
+            return np.linspace(float(a), float(b), int(n))
+    except ValueError:
+        pass
+    raise UsageError("--flux expects start:stop:count with count >= 1, got %r"
+                     % spec)
 
 
 def _load_device(args):
@@ -128,19 +131,17 @@ def cmd_spectrum(args):
     grid = _parse_flux_grid(args.flux)
     lines = _manifest_lines("spectrum", args, args.config, cfg_vals)
     cols = ["phi", "ng", "fq_even_ghz", "fq_odd_ghz", "fq_mean_ghz", "delta_fq_mhz"]
-    for j in ("j1", "j2"):
-        for kind in ("mcos", "msin"):
-            for i in range(2):
-                for k in range(2):
-                    cols.append("%s%d%d_%s" % (kind, i, k, j))
+    cols += ["%s%d%d_%s" % (kind, i, k, j) for j in ("j1", "j2")
+             for kind in ("mcos", "msin") for i in range(2) for k in range(2)]
     lines.append(",".join(cols))
     for phi in grid:
-        spec = parity_spectrum(params, phi, args.ng, args.n_trunc)
+        sectors = solve_sectors(params, phi, args.ng, args.n_trunc,
+                                check_convergence=True)
+        spec = sectors.spectrum()
         row = [phi, args.ng, spec.fq_even, spec.fq_odd, spec.fq_mean,
                spec.delta_fq * 1e3]
         for junction in (Junction.J1, Junction.J2):
-            m = charge_matrix_elements(params, phi, args.ng, junction,
-                                       args.n_trunc)
+            m = sectors.matrix_elements(junction)
             row.extend(list(m.m_cos.ravel()) + list(m.m_sin.ravel()))
         lines.append(",".join(_fmt(v) for v in row))
     _write_atomic(args.out, lines)
@@ -221,11 +222,14 @@ def _row_values(path, row, columns):
     """Floats in the given columns of a data row from _read_table."""
     lineno, cells = row
     try:
-        return [float(cells[c]) for c in columns]
+        values = [float(cells[c]) for c in columns]
+        if all(map(math.isfinite, values)):
+            return values
     except (IndexError, ValueError):
-        raise UsageError("%s line %d: expected numbers in columns %s, got %r"
-                         % (path, lineno, ", ".join(str(c + 1) for c in columns),
-                            ",".join(cells)))
+        pass
+    raise UsageError("%s line %d: expected finite numbers in columns %s, got %r"
+                     % (path, lineno, ", ".join(str(c + 1) for c in columns),
+                        ",".join(cells)))
 
 
 def _read_data_csv(path, fmap):
@@ -363,8 +367,23 @@ def _parse_burst(spec):
                       ng_jump=len(parts) == 4 and parts[3] == "ng")
 
 
+# flags each telegraph action reads; numeric ones must be finite
+TELEGRAPH_FLAGS = {
+    "simulate": ("gamma", "n", "dt", "fidelity"),
+    "analyze": ("trace", "segment_len", "n_avg"),
+    "conditional": ("gamma0", "gamma1", "t1"),
+    "bursts": ("trace", "window", "threshold"),
+}
+
+
 def cmd_telegraph(args):
     sub = args.action
+    for name in TELEGRAPH_FLAGS[sub]:
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        if value is None:
+            raise UsageError("telegraph %s needs %s" % (sub, flag))
+        if not isinstance(value, str) and not math.isfinite(value):
+            raise UsageError("%s must be finite, got %r" % (flag, value))
     if sub == "simulate":
         bursts = [_parse_burst(b) for b in (args.burst or [])]
         trace = simulate_trace(args.gamma, args.n, args.dt, args.fidelity,
@@ -409,7 +428,6 @@ def cmd_telegraph(args):
                 _fmt(b.amplitude), _fmt(b.decay_time), int(b.ng_jump)))
         _write_atomic(args.out, lines)
         return 0
-    raise UsageError("unknown telegraph action %r" % sub)
 
 
 def cmd_make_synthetic(args):
@@ -423,7 +441,6 @@ def cmd_make_synthetic(args):
     grid = np.linspace(0.0, 0.5, args.points)
     if args.kind == "single":
         p = params.with_(gap_diff=4.860)
-        from .steady_state import solve_trapping_for_density
         drive = PhotonDrive(112.0, 1.9e-3)
         s = solve_trapping_for_density(p, 0.0, drive, 6.2e-9)
         dyn = DynamicsParams(s=s, r=1.0 / 120e-9, g_other=0.0)
@@ -461,8 +478,6 @@ def build_parser():
         prog="parityflux",
         description="Charge-parity switching pipelines: spectra, rates, "
                     "steady-state curves, fits, and telegraph analysis.")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker cap (0 = all cores); results independent of it")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def add_common(q, config=True):

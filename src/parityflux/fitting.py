@@ -27,7 +27,7 @@ from .rates import (DEFAULT_NG, dilute_tables_grid, flux_point,
 from .steady_state import DynamicsParams, balance_curve
 # unused here; perfbench/tracer.py checks that fitting.solve_balance resolves
 from .steady_state import solve_balance  # noqa: F401
-from .superconductor import FilmState
+from .superconductor import FilmState, mu_from_xqp, xqp_from_mu
 
 FIT_PARAMETERS = ("f_P", "n_bar", "s", "g_other", "gap_diff")
 _LOG_SCALED = {"n_bar", "s", "g_other"}
@@ -505,8 +505,6 @@ def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
     x_background adds a temperature-independent excess density on both
     sides (shifting mu accordingly), used by the qp_background fit mode.
     """
-    from .superconductor import mu_from_xqp, xqp_from_mu
-
     if x_background == 0.0:
         mu_l = mu_r = 0.0
     else:

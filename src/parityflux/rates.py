@@ -36,8 +36,7 @@ import numpy as np
 
 from .device import DeviceParams, cooper_pair_number, require_finite
 from .constants import thermal_energy_ghz
-from .spectrum import (DEFAULT_NG, DEFAULT_NTRUNC, Junction,
-                       charge_matrix_elements, parity_spectrum)
+from .spectrum import DEFAULT_NG, DEFAULT_NTRUNC, Junction, solve_sectors
 from .superconductor import (FilmState, nups_integral, nups_integral_grid,
                              paps_integral_grid, xqp_from_mu)
 
@@ -86,10 +85,9 @@ def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG, n_trunc=DEFAULT_NTRUNC
     for name, value in (("phi", phi), ("n_g", n_g)):
         if not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
-    spec = parity_spectrum(params, phi, n_g, n_trunc, check_convergence=False)
-    mels = {j: charge_matrix_elements(params, phi, n_g, j, n_trunc)
-            for j in (Junction.J1, Junction.J2)}
-    return FluxPoint(phi=phi, n_g=n_g, fq=spec.fq_mean, mels=mels)
+    sectors = solve_sectors(params, phi, n_g, n_trunc)
+    mels = {j: sectors.matrix_elements(j) for j in (Junction.J1, Junction.J2)}
+    return FluxPoint(phi=phi, n_g=n_g, fq=sectors.spectrum().fq_mean, mels=mels)
 
 
 def _transition_omega(fq, i, j):

@@ -1,9 +1,14 @@
 """Charge-basis diagonalization of the two-junction transmon.
 
 H = 4 E_C (n - n_g)^2 - E_J1 cos(phi - phi_ext) - E_J2 cos(phi), with
-phi_ext = 2 pi Phi/Phi0.  The odd-parity sector is represented by shifting
-n_g -> n_g - 1/2 on the integer charge basis; e^{+-i phi/2} then acts as a
-half-unit charge translation between the sectors.
+phi_ext = 2 pi Phi/Phi0; the flux placement is an argument (flux_on_j2
+gives the gauge -E_J1 cos(phi) - E_J2 cos(phi + phi_ext), which changes no
+modulus).  The odd-parity sector is represented by shifting n_g -> n_g - 1/2
+on the integer charge basis; e^{+-i phi/2} then acts as a half-unit charge
+translation between the sectors.  solve_sectors makes one eigensystem call
+per sector, and the parity spectrum and the matrix elements of both
+junctions are read off that one solve; parity_spectrum and
+charge_matrix_elements are views of it.
 """
 
 import math
@@ -50,7 +55,7 @@ class ChargeMatrixElements:
     m_sin: np.ndarray  # 2x2
 
 
-def _hamiltonian(params, phi, n_g, n_trunc):
+def _hamiltonian(params, phi, n_g, n_trunc, flux_on_j2=False):
     dim = int(n_trunc)
     if dim % 2 == 0:
         dim += 1
@@ -58,14 +63,19 @@ def _hamiltonian(params, phi, n_g, n_trunc):
     n = np.arange(-cut, cut + 1)
     h = np.zeros((dim, dim), dtype=complex)
     h[np.arange(dim), np.arange(dim)] = 4.0 * params.ec * (n - n_g) ** 2
-    # <n+1| cos(phi - phi_ext) |n> = e^{-i phi_ext}/2 ; junction 2 unrotated
-    off = -0.5 * (params.ej1 * np.exp(-2j * np.pi * phi) + params.ej2)
+    if flux_on_j2:
+        # H = ... - EJ1 cos(phi) - EJ2 cos(phi + phi_ext)
+        off = -0.5 * (params.ej1 + params.ej2 * np.exp(2j * np.pi * phi))
+    else:
+        # <n+1| cos(phi - phi_ext) |n> = e^{-i phi_ext}/2 ; junction 2 unrotated
+        off = -0.5 * (params.ej1 * np.exp(-2j * np.pi * phi) + params.ej2)
     h[np.arange(1, dim), np.arange(dim - 1)] = off
     h[np.arange(dim - 1), np.arange(1, dim)] = np.conj(off)
     return h
 
 
-def eigensystem(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, check_convergence=True):
+def eigensystem(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, check_convergence=True,
+                flux_on_j2=False):
     """Eigenvalues (GHz, relative to the ground state) and eigenvectors.
 
     Eigenvectors are columns in the integer charge basis -cut..cut, unit
@@ -75,11 +85,12 @@ def eigensystem(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, check_convergence=True
     """
     if n_trunc < 15:
         raise ValueError("n_trunc must be at least 15")
-    h = _hamiltonian(params, phi, n_g, n_trunc)
+    h = _hamiltonian(params, phi, n_g, n_trunc, flux_on_j2)
     w, v = np.linalg.eigh(h)
     w = w - w[0]
     if check_convergence:
-        w2 = np.linalg.eigvalsh(_hamiltonian(params, phi, n_g, n_trunc + 4))
+        w2 = np.linalg.eigvalsh(_hamiltonian(params, phi, n_g, n_trunc + 4,
+                                             flux_on_j2))
         w2 = w2 - w2[0]
         if max(abs(w2[0] - w[0]), abs(w2[1] - w[1])) > 1e-6:
             raise TruncationError(
@@ -87,20 +98,6 @@ def eigensystem(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, check_convergence=True
                 "increase n_trunc" % n_trunc
             )
     return w, v
-
-
-def parity_spectrum(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, n_levels=5,
-                    check_convergence=True):
-    """Even manifold at n_g, odd at n_g - 1/2."""
-    we, _ = eigensystem(params, phi, n_g, n_trunc, check_convergence)
-    wo, _ = eigensystem(params, phi, n_g - 0.5, n_trunc, check_convergence=False)
-    k = min(n_levels, len(we))
-    return SpectrumResult(
-        levels_even=we[:k].copy(),
-        levels_odd=wo[:k].copy(),
-        fq_even=float(we[1] - we[0]),
-        fq_odd=float(wo[1] - wo[0]),
-    )
 
 
 def _translation_amplitudes(vec_even, vec_odd):
@@ -119,49 +116,65 @@ def _translation_amplitudes(vec_even, vec_odd):
     return amp_cos, amp_sin
 
 
+@dataclass(frozen=True)
+class Sectors:
+    """Levels (relative to each ground state) and eigenvector columns of
+    the even sector at n_g and the odd sector at n_g - 1/2."""
+
+    phi: float
+    flux_on_j2: bool
+    w_even: np.ndarray
+    v_even: np.ndarray
+    w_odd: np.ndarray
+    v_odd: np.ndarray
+
+    def spectrum(self, n_levels=5):
+        we, wo = self.w_even, self.w_odd
+        k = min(n_levels, len(we))
+        return SpectrumResult(levels_even=we[:k].copy(), levels_odd=wo[:k].copy(),
+                              fq_even=float(we[1] - we[0]),
+                              fq_odd=float(wo[1] - wo[0]))
+
+    def matrix_elements(self, junction):
+        """Single-charge-tunneling matrix elements of one junction, from
+        even-sector state i to odd-sector state j."""
+        junction = Junction(junction)
+        # phi_J = phi_hat - rot; the flux sits on J1 (rot = phi_ext) or J2 (-phi_ext)
+        rot = 2.0 * math.pi * self.phi * ((junction is Junction.J1)
+                                          - self.flux_on_j2)
+        m_cos = np.zeros((2, 2))
+        m_sin = np.zeros((2, 2))
+        c, s = math.cos(rot / 2.0), math.sin(rot / 2.0)
+        for i in range(2):
+            for j in range(2):
+                amp_c, amp_s = _translation_amplitudes(self.v_even[:, i],
+                                                       self.v_odd[:, j])
+                # cos((phi - rot)/2) = cos(rot/2) cos(phi/2) + sin(rot/2) sin(phi/2)
+                m_cos[i, j] = abs(c * amp_c + s * amp_s) ** 2
+                m_sin[i, j] = abs(c * amp_s - s * amp_c) ** 2
+        return ChargeMatrixElements(junction=junction, m_cos=m_cos, m_sin=m_sin)
+
+
+def solve_sectors(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,
+                  check_convergence=False, flux_on_j2=False):
+    """One eigensystem call per parity sector; check_convergence applies to
+    the even sector."""
+    we, ve = eigensystem(params, phi, n_g, n_trunc, check_convergence,
+                         flux_on_j2)
+    wo, vo = eigensystem(params, phi, n_g - 0.5, n_trunc, False, flux_on_j2)
+    return Sectors(phi, flux_on_j2, we, ve, wo, vo)
+
+
+def parity_spectrum(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, n_levels=5,
+                    check_convergence=True):
+    """Even manifold at n_g, odd at n_g - 1/2."""
+    return solve_sectors(params, phi, n_g, n_trunc,
+                         check_convergence).spectrum(n_levels)
+
+
 def charge_matrix_elements(params, phi, n_g=DEFAULT_NG, junction=Junction.J1,
                            n_trunc=DEFAULT_NTRUNC, flux_on_j2=False):
-    """Single-charge-tunneling matrix elements for one junction.
-
-    The junction phase is phi_J = phi_hat - phi_ext for J1 and phi_hat for
-    J2 (or the opposite assignment with flux_on_j2, a gauge choice that must
-    not change any modulus).  Matrix elements connect even-sector state i to
-    odd-sector state j.
-    """
-    junction = Junction(junction)
-    _, ve = eigensystem(params, phi, n_g, n_trunc, check_convergence=False)
-    _, vo = eigensystem(params, phi, n_g - 0.5, n_trunc, check_convergence=False)
-    phext = 2.0 * math.pi * phi
-    if flux_on_j2:
-        # H = ... - EJ1 cos(phi) - EJ2 cos(phi + phi_ext)
-        rot = 0.0 if junction is Junction.J1 else -phext
-        ve = _gauge_vectors(params, phi, n_g, n_trunc)
-        vo = _gauge_vectors(params, phi, n_g - 0.5, n_trunc)
-    else:
-        rot = phext if junction is Junction.J1 else 0.0
-    m_cos = np.zeros((2, 2))
-    m_sin = np.zeros((2, 2))
-    c, s = math.cos(rot / 2.0), math.sin(rot / 2.0)
-    for i in range(2):
-        for j in range(2):
-            amp_c, amp_s = _translation_amplitudes(ve[:, i], vo[:, j])
-            # cos((phi - rot)/2) = cos(rot/2) cos(phi/2) + sin(rot/2) sin(phi/2)
-            m_cos[i, j] = abs(c * amp_c + s * amp_s) ** 2
-            m_sin[i, j] = abs(c * amp_s - s * amp_c) ** 2
-    return ChargeMatrixElements(junction=junction, m_cos=m_cos, m_sin=m_sin)
-
-
-def _gauge_vectors(params, phi, n_g, n_trunc):
-    """Eigenvectors of the gauge with the external flux on junction 2."""
-    dim = int(n_trunc)
-    if dim % 2 == 0:
-        dim += 1
-    cut = (dim - 1) // 2
-    n = np.arange(-cut, cut + 1)
-    h = np.zeros((dim, dim), dtype=complex)
-    h[np.arange(dim), np.arange(dim)] = 4.0 * params.ec * (n - n_g) ** 2
-    off = -0.5 * (params.ej1 + params.ej2 * np.exp(2j * np.pi * phi))
-    h[np.arange(1, dim), np.arange(dim - 1)] = off
-    h[np.arange(dim - 1), np.arange(1, dim)] = np.conj(off)
-    _, v = np.linalg.eigh(h)
-    return v
+    """Sectors.matrix_elements of one junction; flux_on_j2 solves in the
+    other gauge, which must not change any modulus."""
+    return solve_sectors(params, phi, n_g, n_trunc,
+                         flux_on_j2=flux_on_j2).matrix_elements(junction)

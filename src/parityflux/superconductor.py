@@ -309,33 +309,3 @@ def paps_integral_grid(omegas_ghz, f_photon, left: FilmState,
     out[live, 1] = minus[:n] + minus[n:]
     return out
 
-
-def structure_factor_nups(omega_ghz, left: FilmState, right: FilmState,
-                          sign, direction="lr", rtol=1e-8,
-                          pauli_blocking=True, boltzmann=False, mean_gap=None):
-    """One directional NUPS structure factor S^{lr} or S^{rl}.
-
-    sign is +1 or -1 (the coherence-factor branch); direction "lr" means the
-    left film is occupied.  The full S_+- is the lr + rl sum, assembled by
-    the rate layer.
-    """
-    if direction == "lr":
-        occ, emp = left, right
-    elif direction == "rl":
-        occ, emp = right, left
-    else:
-        raise ValueError("direction must be 'lr' or 'rl'")
-    pair = nups_integral(omega_ghz, occ, emp, rtol=rtol,
-                         pauli_blocking=pauli_blocking, boltzmann=boltzmann,
-                         mean_gap=mean_gap)
-    return float(pair[0] if sign > 0 else pair[1])
-
-
-def structure_factor_paps(omega_ghz, f_photon, left: FilmState,
-                          right: FilmState, sign, rtol=1e-8,
-                          pauli_blocking=True, mean_gap=None):
-    """One directional PAPS structure factor; 0 below the pair-breaking
-    threshold f_photon <= gap_l + gap_r + omega."""
-    pair = paps_integral(omega_ghz, f_photon, left, right, rtol=rtol,
-                         pauli_blocking=pauli_blocking, mean_gap=mean_gap)
-    return float(pair[0] if sign > 0 else pair[1])

@@ -80,10 +80,15 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
 
     gamma is a rate in 1/s or a callable t -> rate.  Bursts (list of
     BurstEvent) multiply the rate by amplitude * exp(-t/decay) from onset.
-    cluster labels start at 0 and increment at each ng_jump burst.
+    cluster labels start at 0 and increment at each ng_jump burst.  Rates
+    must be finite and dt finite and positive (ValueError otherwise).
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive, got %r" % dt)
     rng = np.random.default_rng(seed)
     rates = _rate_schedule(gamma, n, dt, bursts)
+    if not np.isfinite(rates).all():
+        raise ValueError("switching rate must be finite")
     p_flip = 0.5 * (1.0 - np.exp(-2.0 * rates * dt))
     flips = rng.random(n) < p_flip
     hidden = np.where(np.cumsum(flips) % 2 == 0, 1, -1).astype(np.int8)

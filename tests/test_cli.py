@@ -73,9 +73,16 @@ def test_unknown_flag_usage_error(cfg, tmp_path, capsys):
     assert "--frobnicate" in capsys.readouterr().err
 
 
-def test_bad_flux_spec_usage_error(cfg, tmp_path):
+def test_bad_flux_spec_usage_error(cfg, tmp_path, capsys):
+    out = str(tmp_path / "z.csv")
     assert run(["sweep", "--config", cfg, "--flux", "oops",
-                "--out", str(tmp_path / "z.csv")]) == 2
+                "--out", out]) == 2
+    for spec in ("0:0.5:0", "0:0.5:-3"):
+        for cmd in ("sweep", "spectrum"):
+            assert run([cmd, "--config", cfg, "--flux", spec,
+                        "--out", out]) == 2
+            assert "count >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("extra, name", [
@@ -249,6 +256,19 @@ def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):
     lamp.write_text("p_lamp_uw,gamma_per_s\n0.0,30\n1.4\n")
     assert run(["lamp", "--data", str(lamp), "--out", out]) == 2
     assert "%s line 3" % lamp in capsys.readouterr().err
+    # non-finite cells are usage errors too, not a failed fit
+    fit_data.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n"
+                        "0.1,nan,10\n")
+    assert run(["fit", "--config", cfg, "--data", str(fit_data),
+                "--bind", "n_bar:per", "--init", "f_P=110,n_bar=2e-3",
+                "--out", out]) == 2
+    assert "%s line 3" % fit_data in capsys.readouterr().err
+    thermal.write_text("t_k,gamma_per_s\n0.1,40\n0.15,inf\n")
+    assert run(["thermal-fit", "--data", str(thermal), "--out", out]) == 2
+    assert "%s line 3" % thermal in capsys.readouterr().err
+    lamp.write_text("p_lamp_uw,gamma_per_s\n0.0,30\n-inf,31\n")
+    assert run(["lamp", "--data", str(lamp), "--out", out]) == 2
+    assert "%s line 3" % lamp in capsys.readouterr().err
     trace = tmp_path / "trace.txt"
     trace.write_text("# dt=1e-05\n" + "+1\n-1\n" * 50 + "3\n")
     assert run(["telegraph", "analyze", "--trace", str(trace),
@@ -267,3 +287,28 @@ def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):
         assert err.startswith("error: ") and "missing.csv" in err
     assert not os.path.exists(out)
 
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--n", "1000", "--seed", "1"], "--gamma"),
+    (["simulate", "--gamma", "341", "--seed", "1"], "--n"),
+    (["simulate", "--gamma", "nan", "--n", "1000", "--seed", "1"], "--gamma"),
+    (["simulate", "--gamma", "341", "--n", "1000", "--dt", "nan",
+      "--seed", "1"], "--dt"),
+    (["analyze"], "--trace"),
+    (["bursts"], "--trace"),
+    (["bursts", "--trace", "t.txt", "--threshold", "inf"], "--threshold"),
+    (["conditional", "--gamma1", "250", "--t1", "1e-4", "--seed", "1"],
+     "--gamma0"),
+    (["conditional", "--gamma0", "130", "--t1", "1e-4", "--seed", "1"],
+     "--gamma1"),
+    (["conditional", "--gamma0", "130", "--gamma1", "250", "--seed", "1"],
+     "--t1"),
+])
+def test_telegraph_missing_or_non_finite_flag_usage_error(tmp_path, capsys,
+                                                          argv, flag):
+    out = str(tmp_path / "t.out")
+    assert run(["telegraph"] + argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert not os.path.exists(out)

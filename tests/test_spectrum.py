@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import parityflux.spectrum as spectrum
 from parityflux import DeviceParams, Junction, charge_matrix_elements
+from parityflux.cli import main
+from parityflux.rates import flux_point
 from parityflux.spectrum import (TruncationError, _hamiltonian, eigensystem,
                                  parity_spectrum)
 
@@ -10,6 +13,43 @@ def test_hermitian_construction(device):
     for phi in (0.0, 0.145, 0.37):
         h = _hamiltonian(device, phi, 0.25, 31)
         assert np.array_equal(h, h.conj().T)
+
+
+def test_flux_point_is_one_sector_solve(device):
+    # one solve feeds the spectrum and both junctions; the public views
+    # solve the same sectors and must agree to the last bit
+    for phi in np.linspace(0.0, 0.5, 6):
+        for ng in (0.0, 0.13, 0.25, 0.41):
+            point = flux_point(device, float(phi), ng)
+            spec = parity_spectrum(device, float(phi), ng)
+            assert np.array_equal(point.fq, spec.fq_mean)
+            for junction in (Junction.J1, Junction.J2):
+                m = charge_matrix_elements(device, float(phi), ng, junction)
+                assert np.array_equal(point.mels[junction].m_cos, m.m_cos)
+                assert np.array_equal(point.mels[junction].m_sin, m.m_sin)
+
+
+def test_one_eigensystem_per_sector(device, monkeypatch, tmp_path):
+    calls = []
+    original = spectrum.eigensystem
+
+    def counting(*a, **kw):
+        calls.append(a[2])
+        return original(*a, **kw)
+
+    monkeypatch.setattr(spectrum, "eigensystem", counting)
+    flux_point(device, 0.3, 0.2)
+    assert calls == [0.2, 0.2 - 0.5]
+    calls.clear()
+    charge_matrix_elements(device, 0.3, 0.2, Junction.J2, flux_on_j2=True)
+    assert calls == [0.2, 0.2 - 0.5]
+    calls.clear()
+    parity_spectrum(device, 0.3, 0.2)
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["spectrum", "--flux", "0:0.5:3", "--n-trunc", "31",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 2 * 3
 
 
 def test_device_frequencies(device):

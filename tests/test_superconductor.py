@@ -6,9 +6,7 @@ import pytest
 from parityflux import FilmState, dos, mu_from_xqp, occupation, xqp_from_mu
 from parityflux.constants import KB_GHZ_PER_K
 from parityflux.superconductor import (nups_integral, nups_integral_grid,
-                                       paps_integral, paps_integral_grid,
-                                       structure_factor_nups,
-                                       structure_factor_paps)
+                                       paps_integral, paps_integral_grid)
 
 GAP_L, GAP_H = 49.37, 54.23
 GBAR = 0.5 * (GAP_L + GAP_H)
@@ -277,15 +275,16 @@ def test_nups_grid_matches_scalar():
 
 
 def test_structure_factor_directional_api():
+    # the direction is the order of the films (occupied first), the
+    # coherence branch is the component: 0 is S_+, 1 is S_-
     l, r = film(GAP_L, mu=25.0), film(GAP_H, mu=20.0)
-    s = structure_factor_nups(-5.0, l, r, +1, "lr", mean_gap=GBAR)
-    pair = nups_integral(-5.0, l, r, mean_gap=GBAR)
-    assert s == pytest.approx(pair[0], rel=1e-12)
-    s_rl = structure_factor_nups(-5.0, l, r, -1, "rl", mean_gap=GBAR)
-    pair_rl = nups_integral(-5.0, r, l, mean_gap=GBAR)
-    assert s_rl == pytest.approx(pair_rl[1], rel=1e-12)
-    with pytest.raises(ValueError):
-        structure_factor_nups(0.0, l, r, 1, "xy")
+    s_lr = nups_integral(-5.0, l, r, mean_gap=GBAR)[0]
+    grid_lr = nups_integral_grid([-5.0], l, r, mean_gap=GBAR)
+    assert s_lr == pytest.approx(grid_lr[0, 0], rel=1e-12)
+    s_rl = nups_integral(-5.0, r, l, mean_gap=GBAR)[1]
+    grid_rl = nups_integral_grid([-5.0], r, l, mean_gap=GBAR)
+    assert s_rl == pytest.approx(grid_rl[0, 1], rel=1e-12)
+    assert s_lr > 0 and s_rl > 0
 
 
 # ---------------------------------------------------------------- PAPS
@@ -293,7 +292,7 @@ def test_structure_factor_directional_api():
 def test_paps_below_threshold_zero():
     l, r = film(GAP_L), film(GAP_H)
     assert np.all(paps_integral(0.0, GAP_L + GAP_H - 1.0, l, r) == 0.0)
-    assert structure_factor_paps(2.0, GAP_L + GAP_H + 1.0, l, r, +1) == 0.0
+    assert paps_integral(2.0, GAP_L + GAP_H + 1.0, l, r)[0] == 0.0
 
 
 def test_paps_pauli_blocking_negligible_when_dilute():

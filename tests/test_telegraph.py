@@ -19,6 +19,15 @@ def test_trace_validation():
         BurstEvent(onset_index=0, amplitude=0.5, decay_time=1e-3)
 
 
+def test_simulate_rejects_non_finite_rate_and_bad_dt():
+    for gamma in (math.nan, math.inf, lambda t: np.full(t.shape, math.nan)):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            simulate_trace(gamma, 1000, seed=1)
+    for dt in (math.nan, math.inf, 0.0, -1e-5):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            simulate_trace(341.0, 1000, dt=dt, seed=1)
+
+
 def test_seeded_determinism():
     a = simulate_trace(341.0, 50_000, seed=99)
     b = simulate_trace(341.0, 50_000, seed=99)
