@@ -20,8 +20,9 @@ import numpy as np
 from . import __version__
 from .device import (ConfigError, DeviceParams, FluxFrequencyMap,
                      config_from_values, fq_to_flux, parse_config_text)
-from .fitting import (DegenerateFitError, FitDataset, FitProblem, fit,
-                      fit_lamp, fit_lamp_series, fit_thermal, lamp_model)
+from .fitting import (FIT_PARAMETERS, DegenerateFitError, FitDataset,
+                      FitProblem, fit, fit_lamp, fit_lamp_series, fit_thermal,
+                      lamp_model)
 from .quadrature import QuadratureError
 from .rates import DEFAULT_NG, PhotonDrive, rate_breakdown
 from .spectrum import DEFAULT_NTRUNC, Junction, TruncationError, solve_sectors
@@ -181,28 +182,19 @@ def _curve_lines(points):
     return lines
 
 
-def cmd_steady_state(args):
+def cmd_curve(args):
+    """steady-state at one flux point (--phi), sweep over a grid (--flux)."""
     params, fmap, dyn_cfg, cfg_vals = _load_device(args)
+    grid = _parse_flux_grid(args.flux) if args.subcommand == "sweep" else None
     dyn = _dyn_from(args, dyn_cfg)
     drive = _drive_from(args, dyn_cfg)
     rho = _rho_from(args, dyn_cfg)
-    cp = curve_point(params, dyn, args.phi, drive, rho, args.ng)
-    lines = _manifest_lines("steady-state", args, args.config, cfg_vals)
-    lines += _curve_lines([cp])
-    _write_atomic(args.out, lines)
-    return 0
-
-
-def cmd_sweep(args):
-    params, fmap, dyn_cfg, cfg_vals = _load_device(args)
-    grid = _parse_flux_grid(args.flux)
-    dyn = _dyn_from(args, dyn_cfg)
-    drive = _drive_from(args, dyn_cfg)
-    rho = _rho_from(args, dyn_cfg)
-    points = gamma_curve(params, dyn, drive, grid, rho, args.ng)
-    lines = _manifest_lines("sweep", args, args.config, cfg_vals)
-    lines += _curve_lines(points)
-    _write_atomic(args.out, lines)
+    if grid is None:
+        points = [curve_point(params, dyn, args.phi, drive, rho, args.ng)]
+    else:
+        points = gamma_curve(params, dyn, drive, grid, rho, args.ng)
+    lines = _manifest_lines(args.subcommand, args, args.config, cfg_vals)
+    _write_atomic(args.out, lines + _curve_lines(points))
     return 0
 
 
@@ -292,11 +284,8 @@ def cmd_fit(args):
         phi, gam, sig = _read_data_csv(path, fmap)
         label = os.path.splitext(os.path.basename(path))[0]
         datasets.append(FitDataset(label=label, phi=phi, gamma=gam, sigma=sig))
-    fixed = {}
-    for name in ("f_P", "n_bar", "s", "g_other", "gap_diff"):
-        if name not in bindings:
-            fixed[name] = init.get(name, {"gap_diff": params.gap_diff,
-                                          "g_other": 0.0, "s": 0.0}.get(name, 0.0))
+    fixed = {name: init.get(name, params.gap_diff if name == "gap_diff" else 0.0)
+             for name in FIT_PARAMETERS if name not in bindings}
     if args.staged:
         if not args.lamp_mode:
             raise UsageError("--staged applies to --lamp-mode series fits")
@@ -405,9 +394,7 @@ def cmd_telegraph(args):
         lines.append("group,gamma_per_s,white_floor")
         for k, (g, c) in enumerate(zip(diag["gammas"], diag["floors"])):
             lines.append("%d,%s,%s" % (k, _fmt(g), _fmt(c)))
-        _write_atomic(args.out, lines)
-        return 0
-    if sub == "conditional":
+    elif sub == "conditional":
         res = conditional_rates(args.gamma0, args.gamma1, args.t1, seed=args.seed)
         lines = _manifest_lines("telegraph-conditional", args, seed=args.seed)
         lines.append("gamma0_per_s = %.6g +- %.3g" % (res.gamma0, res.gamma0_err))
@@ -415,9 +402,7 @@ def cmd_telegraph(args):
         lines.append("theta,mq,gamma_per_s,gamma_err")
         for t, m, g, e in zip(res.thetas, res.mq, res.gamma, res.gamma_err):
             lines.append(",".join(_fmt(v) for v in (t, m, g, e)))
-        _write_atomic(args.out, lines)
-        return 0
-    if sub == "bursts":
+    else:
         trace = read_trace(args.trace)
         events = detect_bursts(trace, args.window, args.threshold)
         lines = _manifest_lines("telegraph-bursts", args, data_paths=[args.trace])
@@ -426,8 +411,8 @@ def cmd_telegraph(args):
             lines.append("%d,%s,%s,%s,%d" % (
                 b.onset_index, _fmt(b.onset_index * trace.dt),
                 _fmt(b.amplitude), _fmt(b.decay_time), int(b.ng_jump)))
-        _write_atomic(args.out, lines)
-        return 0
+    _write_atomic(args.out, lines)
+    return 0
 
 
 def cmd_make_synthetic(args):
@@ -438,6 +423,11 @@ def cmd_make_synthetic(args):
         args.points = 101 if args.kind == "single" else 51
     if args.noise is None:
         args.noise = 0.05 if args.kind == "single" else 0.01
+    if args.points < 1:
+        raise UsageError("--points must be at least 1, got %d" % args.points)
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise UsageError("--noise must be finite and nonnegative, got %r"
+                         % args.noise)
     grid = np.linspace(0.0, 0.5, args.points)
     if args.kind == "single":
         p = params.with_(gap_diff=4.860)
@@ -480,11 +470,15 @@ def build_parser():
                     "steady-state curves, fits, and telegraph analysis.")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(q, config=True):
+    def add_common(q, config=True, dynamics=False):
         if config:
             q.add_argument("--config", help="flat key=value device config")
         q.add_argument("--ng", type=float, default=DEFAULT_NG)
         q.add_argument("--out", required=True)
+        if dynamics:
+            for name in ("s", "g-other", "r", "nbar", "fp", "rho1"):
+                q.add_argument("--%s" % name, type=float,
+                               dest=name.replace("-", "_"))
 
     q = sub.add_parser("spectrum", help="parity spectra and matrix elements")
     add_common(q)
@@ -503,18 +497,14 @@ def build_parser():
     q.set_defaults(func=cmd_rates)
 
     q = sub.add_parser("steady-state", help="solve one flux point")
-    add_common(q)
+    add_common(q, dynamics=True)
     q.add_argument("--phi", type=float, required=True)
-    for name in ("s", "g-other", "r", "nbar", "fp", "rho1"):
-        q.add_argument("--%s" % name, type=float, dest=name.replace("-", "_"))
-    q.set_defaults(func=cmd_steady_state)
+    q.set_defaults(func=cmd_curve)
 
     q = sub.add_parser("sweep", help="model curve over a flux grid")
-    add_common(q)
+    add_common(q, dynamics=True)
     q.add_argument("--flux", required=True)
-    for name in ("s", "g-other", "r", "nbar", "fp", "rho1"):
-        q.add_argument("--%s" % name, type=float, dest=name.replace("-", "_"))
-    q.set_defaults(func=cmd_sweep)
+    q.set_defaults(func=cmd_curve)
 
     q = sub.add_parser("fit", help="multi-dataset model fit")
     add_common(q)

@@ -541,26 +541,20 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
     gammas = np.asarray([g for _, g in data], dtype=float)
     sigmas = np.maximum(0.05 * np.abs(gammas), 1e-3)
     point = flux_point(params, phi, n_g)
+    offset = mode == "paps_offset"
 
     def model(theta):
         gap_mean, extra = theta
         p = params.with_(gap_mean=float(gap_mean))
-        if mode == "paps_offset":
-            return np.array([
-                extra + thermal_nups_rate(p, t, phi, n_g, point=point,
-                                          convention=convention)
-                for t in temps
-            ])
-        return np.array([
-            thermal_nups_rate(p, t, phi, n_g, x_background=extra, point=point,
-                              convention=convention)
-            for t in temps
-        ])
+        gamma_n = np.array([thermal_nups_rate(
+            p, t, phi, n_g, x_background=0.0 if offset else extra,
+            point=point, convention=convention) for t in temps])
+        return extra + gamma_n if offset else gamma_n
 
     def residual(theta):
         return (model(theta) - gammas) / sigmas
 
-    if mode == "paps_offset":
+    if offset:
         x0 = np.array([51.0, max(gammas.min(), 1.0)])
         lower = np.array([40.0, 0.0])
         upper = np.array([65.0, max(gammas.max(), 10.0) * 10])
@@ -571,7 +565,7 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
         upper = np.array([65.0, 1e-4])
         log_mask = np.array([False, True])
     res = lm_least_squares(residual, x0, lower, upper, log_mask,
-                           names=["gap_mean", "offset" if mode == "paps_offset" else "x_bg"])
+                           names=["gap_mean", "offset" if offset else "x_bg"])
     return float(res.x[0]), float(res.x[1]), res
 
 

@@ -7,7 +7,10 @@ Number-conserving rates follow Fermi's golden rule,
 evaluated per junction with that junction's E_J and phase operator and then
 summed over the junctions.  Photon-assisted rates carry the same matrix
 elements with the pair-breaking structure factors and a per-photon coupling
-prefactor.
+prefactor.  Transition i -> j takes its structure factors at the qubit
+energy (j - i) f_q; the one junction sum, ``_junction_rates``, takes them
+keyed by delta = j - i in {0, +1, -1}, and each channel has one assembly on
+it (``_nups_channels``, ``_paps_channels``).
 
 Two prefactor conventions are provided, selected by ``convention``:
 
@@ -37,8 +40,8 @@ import numpy as np
 from .device import DeviceParams, cooper_pair_number, require_finite
 from .constants import thermal_energy_ghz
 from .spectrum import DEFAULT_NG, DEFAULT_NTRUNC, Junction, solve_sectors
-from .superconductor import (FilmState, nups_integral, nups_integral_grid,
-                             paps_integral_grid, xqp_from_mu)
+from .superconductor import (FilmState, nups_integral_grid, paps_integral_grid,
+                             xqp_from_mu)
 
 # transitions tracked: (initial, final) plasmon indices
 TRANSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -90,11 +93,6 @@ def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG, n_trunc=DEFAULT_NTRUNC
     return FluxPoint(phi=phi, n_g=n_g, fq=sectors.spectrum().fq_mean, mels=mels)
 
 
-def _transition_omega(fq, i, j):
-    """Energy gained by the qubit (GHz): +fq for 0->1, -fq for 1->0."""
-    return fq * (j - i)
-
-
 def nups_prefactor_per_s(f_ej_ghz, convention="calibrated"):
     """Number-conserving golden-rule prefactor in 1/s.
 
@@ -136,12 +134,14 @@ class ChannelTotals:
 def _junction_rates(params: DeviceParams, points, pair_of, weight):
     """Per-junction channel rates weight(f_EJ) [m_cos S_- + m_sin S_+].
 
-    ``pair_of(i, j)`` gives the (S_+, S_-) pairs of transition i -> j at the
-    K flux points, shape (K, 2) or (2,) at K = 1; ``weight`` maps a
+    ``pair_of(delta)`` gives the (S_+, S_-) pairs at the qubit energy
+    delta * f_q of the K flux points, shape (K, 2), once per delta in
+    {0, +1, -1}; transition i -> j takes delta = j - i.  ``weight`` maps a
     junction's E_J/h to its prefactor, a scalar or an array broadcasting
     against (K, 2, 2).  Returns {Junction: (K, 2, 2)}.
     """
-    s = np.stack([np.reshape(pair_of(i, j), (-1, 2)) for (i, j) in TRANSITIONS],
+    pairs = {delta: np.reshape(pair_of(delta), (-1, 2)) for delta in (0, 1, -1)}
+    s = np.stack([pairs[j - i] for (i, j) in TRANSITIONS],
                  axis=1).reshape(-1, 2, 2, 2)
     out = {}
     for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
@@ -172,6 +172,21 @@ def _film_pauli(film):
     return film is not None and film.x_qp >= DILUTE_XQP
 
 
+def _nups_channels(params: DeviceParams, points, directions, rtol,
+                   convention):
+    """NUPS channel rates {Junction: (K, 2, 2)} at the K flux points; the
+    structure factors are summed over the (occupied, empty, pauli,
+    boltzmann) ``directions`` in the order given."""
+    fqs = np.array([pt.fq for pt in points])
+    return _junction_rates(
+        params, points,
+        lambda delta: sum(nups_integral_grid(
+            fqs * delta, occ, emp, rtol=rtol, pauli_blocking=pauli,
+            boltzmann=mb, mean_gap=params.gap_mean)
+            for occ, emp, pauli, mb in directions),
+        lambda f_ej: nups_prefactor_per_s(f_ej, convention))
+
+
 def nups_rates(params: DeviceParams, phi, left: FilmState, right: FilmState,
                n_g=DEFAULT_NG, direction="both", rtol=1e-8, point=None,
                boltzmann=None, convention="calibrated"):
@@ -183,26 +198,19 @@ def nups_rates(params: DeviceParams, phi, left: FilmState, right: FilmState,
     exact to 1e-6.
     """
     point = point or flux_point(params, phi, n_g)
-    dirs = ("lr", "rl") if direction == "both" else (direction,)
-    pairs = {}  # distinct qubit energy -> (S_+, S_-) summed over directions
-    for dname in dirs:
+    directions = []
+    for dname in (("lr", "rl") if direction == "both" else (direction,)):
         occ, emp = (left, right) if dname == "lr" else (right, left)
         use_mb = occ.boltzmann_ok() if boltzmann is None else boltzmann
-        pauli = _film_pauli(emp) and not use_mb
-        for om in (0.0, point.fq, -point.fq):
-            pairs[om] = pairs.get(om, 0.0) + nups_integral(
-                om, occ, emp, rtol=rtol, pauli_blocking=pauli,
-                boltzmann=use_mb, mean_gap=params.gap_mean)
-    rates = _junction_rates(
-        params, [point], lambda i, j: pairs[_transition_omega(point.fq, i, j)],
-        lambda f_ej: nups_prefactor_per_s(f_ej, convention))
+        directions.append((occ, emp, _film_pauli(emp) and not use_mb, use_mb))
+    rates = _nups_channels(params, [point], directions, rtol, convention)
     per_junction = {junction: g[0] for junction, g in rates.items()}
     return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
 
 
 def paps_prefactor_per_s(params: DeviceParams, n_bar, f_p, fq,
                          convention="calibrated", omega_q=None):
-    """Scalar prefactor of the photon-assisted rate, in 1/s.
+    """Photon-assisted rate prefactor in 1/s; array-valued where fq is.
 
     calibrated: n_bar g^2 w_r / (pi w_P^2)  ->  2e9 n_bar g^2 f_r / f_P^2
     derived:    n_bar g^2 w_r / (pi w_q w_P) -> 2e9 n_bar g^2 f_r/(f_q f_P)
@@ -229,34 +237,35 @@ def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
     omitted films mean the dilute limit (blocking factors = 1).
     """
     point = point or flux_point(params, phi, n_g)
-    drives = _drive_list(drive)
     pauli = _film_pauli(left) or _film_pauli(right)
     lfilm = left if left is not None else _bare_film(params, low=True)
     rfilm = right if right is not None else _bare_film(params, low=False)
     per_junction = {j: np.zeros((2, 2)) for j in (Junction.J1, Junction.J2)}
-    ej_sum = params.ej1 + params.ej2
-    for mode in drives:
+    for mode in _drive_list(drive):
         if mode.n_bar == 0.0:
             continue
-        pref = paps_prefactor_per_s(params, mode.n_bar, mode.f_p, point.fq,
-                                    convention, omega_q)
-        rates = _junction_rates(
-            params, [point],
-            _paps_pairs(params, [point], mode.f_p, lfilm, rfilm, pauli, rtol),
-            lambda f_ej: pref * (f_ej / ej_sum))
-        for junction, g in rates.items():
+        for junction, g in _paps_channels(
+                params, [point], mode.f_p, mode.n_bar, lfilm, rfilm, pauli,
+                rtol, convention, omega_q).items():
             per_junction[junction] = per_junction[junction] + g[0]
     return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
 
 
-def _paps_pairs(params, points, f_p, left, right, pauli, rtol):
-    """pair_of for _junction_rates: the PAPS pairs with the photon's first
-    QP on the left film plus those with it on the right film."""
+def _paps_channels(params: DeviceParams, points, f_p, n_bar, left, right,
+                   pauli, rtol, convention, omega_q):
+    """PAPS channel rates {Junction: (K, 2, 2)} of one photon mode at the K
+    flux points.  The pairs sum the photon's first QP on the left film and
+    on the right film; each junction takes its E_J share of the prefactor."""
     fqs = np.array([pt.fq for pt in points])
-    return lambda i, j: sum(
-        paps_integral_grid(fqs * (j - i), f_p, a, b, rtol=rtol,
-                           pauli_blocking=pauli, mean_gap=params.gap_mean)
-        for a, b in ((left, right), (right, left)))
+    pref = np.reshape(paps_prefactor_per_s(params, n_bar, f_p, fqs, convention,
+                                           omega_q), (-1, 1, 1))
+    ej_sum = params.ej1 + params.ej2
+    return _junction_rates(
+        params, points,
+        lambda delta: sum(paps_integral_grid(
+            fqs * delta, f_p, a, b, rtol=rtol, pauli_blocking=pauli,
+            mean_gap=params.gap_mean) for a, b in ((left, right), (right, left))),
+        lambda f_ej: pref * (f_ej / ej_sum))
 
 
 def _bare_film(params, low, mu=-math.inf):
@@ -321,22 +330,14 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8,
                        convention="calibrated"):
     """Dilute NUPS tables for many flux points with batched quadrature.
 
-    The four transitions and two directions become 8 multi-component
-    adaptive integrals shared across the whole grid, which is what makes
-    curve evaluation inside fit loops cheap.
+    The three distinct qubit energies and two directions become 6
+    multi-component adaptive integrals shared across the whole grid, which
+    is what makes curve evaluation inside fit loops cheap.
     """
-    fqs = np.array([pt.fq for pt in points])
-
-    def channels(occ, emp):
-        return sum(_junction_rates(
-            params, points,
-            lambda i, j: nups_integral_grid(
-                fqs * (j - i), occ, emp, rtol=rtol, pauli_blocking=False,
-                boltzmann=True, mean_gap=params.gap_mean),
-            lambda f_ej: nups_prefactor_per_s(f_ej, convention)).values())
-
     low, high = _bare_film(params, True, mu=0.0), _bare_film(params, False, mu=0.0)
-    lr, rl = channels(low, high), channels(high, low)
+    lr, rl = (sum(_nups_channels(params, points, [(occ, emp, False, True)],
+                                 rtol, convention).values())
+              for occ, emp in ((low, high), (high, low)))
     x_ref = xqp_from_mu(params.gap_low, params.t_ph, 0.0, params.dynes,
                         rtol=1e-10)
     eta = params.gap_diff / thermal_energy_ghz(params.t_ph)
@@ -348,14 +349,10 @@ def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8,
                    convention="calibrated", omega_q=None):
     """Junction-summed PAPS 2x2 per unit n_bar for many flux points; returns
     a (K, 2, 2) array."""
-    fqs = np.array([pt.fq for pt in points])
-    pref = np.reshape(paps_prefactor_per_s(params, 1.0, f_p, fqs, convention,
-                                           omega_q), (-1, 1, 1))
-    ej_sum = params.ej1 + params.ej2
-    pairs = _paps_pairs(params, points, f_p, _bare_film(params, low=True),
-                        _bare_film(params, low=False), False, rtol)
-    return sum(_junction_rates(params, points, pairs,
-                               lambda f_ej: pref * (f_ej / ej_sum)).values())
+    return sum(_paps_channels(params, points, f_p, 1.0,
+                              _bare_film(params, low=True),
+                              _bare_film(params, low=False), False, rtol,
+                              convention, omega_q).values())
 
 
 def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",

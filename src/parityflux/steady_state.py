@@ -184,14 +184,21 @@ class CurvePoint(ChannelTotals):
     rho: tuple
 
 
-def _curve_points(params, dyn, tables, drive, rho, model, rtol, convention):
-    """CurvePoints for the flux points of ``tables`` (batched PAPS)."""
+def _gamma_p(params, tables, drive, rtol, convention):
+    """Junction-summed 2x2 Gamma_P at the flux points of ``tables``; one
+    batched paps_unit_grid per occupied mode."""
     points = [tab.point for tab in tables]
     gamma_p = np.zeros((len(points), 2, 2))
     for mode in _drive_list(drive):
         if mode.n_bar > 0:
             gamma_p = gamma_p + mode.n_bar * paps_unit_grid(
                 params, points, mode.f_p, rtol, convention=convention)
+    return gamma_p
+
+
+def _curve_points(params, dyn, tables, drive, rho, model, rtol, convention):
+    """CurvePoints for the flux points of ``tables`` (batched PAPS)."""
+    gamma_p = _gamma_p(params, tables, drive, rtol, convention)
     solved = balance_curve(params, dyn, tables, gamma_p, rho, model)
     return [CurvePoint(phi=tab.point.phi, fq=tab.point.fq,
                        state=_qp_state(params, x0, x2, tab.eta),
@@ -230,18 +237,19 @@ def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,
                                s_max=1e4, convention="calibrated"):
     """Trapping rate s that makes x0(phi) equal target_x0.
 
-    x0 decreases monotonically with s; bisection between 0 and s_max.
+    x0 decreases monotonically with s; bisection between 0 and s_max, each
+    step solving only the balance (tables and Gamma_P do not depend on s).
     Raises SteadyStateError when the target is unreachable (x0 at s = 0
     already below target, i.e. tunneling drain exceeds generation).
     """
     from scipy.optimize import brentq
 
-    tables = dilute_tables(params, phi, n_g, rtol, convention=convention)
+    tables = [dilute_tables(params, phi, n_g, rtol, convention=convention)]
+    gamma_p = _gamma_p(params, tables, drive, rtol, convention)
 
     def x0_at(s):
         dyn = DynamicsParams(s=s, r=r, g_other=g_other)
-        return steady_state(params, dyn, phi, drive, rho, n_g, model, rtol,
-                            tables=tables, convention=convention).x0
+        return balance_curve(params, dyn, tables, gamma_p, rho, model)[0][0]
 
     lo = x0_at(0.0)
     if lo < target_x0:

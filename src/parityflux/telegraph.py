@@ -81,14 +81,15 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     gamma is a rate in 1/s or a callable t -> rate.  Bursts (list of
     BurstEvent) multiply the rate by amplitude * exp(-t/decay) from onset.
     cluster labels start at 0 and increment at each ng_jump burst.  Rates
-    must be finite and dt finite and positive (ValueError otherwise).
+    must be finite and nonnegative, and dt finite and positive (ValueError
+    otherwise).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive, got %r" % dt)
     rng = np.random.default_rng(seed)
     rates = _rate_schedule(gamma, n, dt, bursts)
-    if not np.isfinite(rates).all():
-        raise ValueError("switching rate must be finite")
+    if not (np.isfinite(rates).all() and (rates >= 0).all()):
+        raise ValueError("gamma: switching rate must be finite and nonnegative")
     p_flip = 0.5 * (1.0 - np.exp(-2.0 * rates * dt))
     flips = rng.random(n) < p_flip
     hidden = np.where(np.cumsum(flips) % 2 == 0, 1, -1).astype(np.int8)
@@ -148,7 +149,11 @@ def psd_gamma(trace: JumpTrace, segment_len, n_avg=5):
     one-sided periodograms are averaged n_avg at a time and each average is
     fitted by a / (1 + (pi f / Gamma)^2) + c.  Returns (mean Gamma, mean
     white floor, diagnostics dict with the per-group estimates).
+    segment_len and n_avg below 1 raise ValueError.
     """
+    for name, value in (("segment_len", segment_len), ("n_avg", n_avg)):
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %r" % (name, value))
     n_seg = len(trace) // segment_len
     if n_seg < 1:
         raise ValueError("trace shorter than one segment")
@@ -301,9 +306,14 @@ def conditional_rates(gamma0, gamma1, t1, thetas=None,
     Simulates parity autocorrelation decays for each polarization angle,
     fits each decay (C(tau) = exp(-2 Gamma tau)), then fits Gamma against
     the measured average qubit state and extrapolates to <m_q> in {0, 1}.
-    Raises ValueError when the achieved polarization range is too narrow to
-    extrapolate.
+    Raises ValueError for a negative gamma0/gamma1 or a t1 <= 0, and when
+    the achieved polarization range is too narrow to extrapolate.
     """
+    for name, value in (("gamma0", gamma0), ("gamma1", gamma1)):
+        if not value >= 0:
+            raise ValueError("%s must be nonnegative, got %r" % (name, value))
+    if not t1 > 0:
+        raise ValueError("t1 must be positive, got %r" % t1)
     protocol = protocol or ConditionalProtocol()
     if thetas is None:
         thetas = np.linspace(0.0, math.pi, 8)

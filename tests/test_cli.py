@@ -312,3 +312,50 @@ def test_telegraph_missing_or_non_finite_flag_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and flag in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, value", [("--segment-len", "0"),
+                                         ("--n-avg", "0")])
+def test_telegraph_analyze_non_positive_segmenting_is_error(tmp_path, capsys,
+                                                            flag, value):
+    trace = str(tmp_path / "tr.txt")
+    assert run(["telegraph", "simulate", "--gamma", "341", "--n", "20000",
+                "--seed", "1", "--out", trace]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "an.csv")
+    assert run(["telegraph", "analyze", "--trace", trace, flag, value,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "%s must be at least 1" % flag[2:].replace("-", "_") in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--points", "0"], "--points"),
+    (["--noise", "nan"], "--noise"),
+    (["--noise", "inf"], "--noise"),
+    (["--noise", "-0.1"], "--noise"),
+])
+def test_make_synthetic_bad_points_or_noise_usage_error(tmp_path, capsys,
+                                                       argv, flag):
+    prefix = str(tmp_path / "syn_")
+    assert run(["make-synthetic", "--kind", "single", "--seed", "1"] + argv
+               + ["--out-prefix", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--gamma", "-5", "--n", "2000"], "gamma:"),
+    (["conditional", "--gamma0", "130", "--gamma1", "250", "--t1", "-1"], "t1"),
+    (["conditional", "--gamma0", "-130", "--gamma1", "250", "--t1", "1e-4"],
+     "gamma0"),
+])
+def test_telegraph_negative_rate_or_time_is_error(tmp_path, capsys, argv, name):
+    out = str(tmp_path / "t.out")
+    assert run(["telegraph"] + argv + ["--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "must be" in err
+    assert not os.path.exists(out)

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from parityflux import FilmState, PhotonDrive
+from parityflux import FilmState, PhotonDrive, rates
 from parityflux.constants import KB_GHZ_PER_K
-from parityflux.rates import (FluxPoint, blackbody_weights, dilute_tables,
-                              dilute_tables_grid, effective_single_frequency,
-                              flux_point, nups_prefactor_per_s, nups_rates,
+from parityflux.rates import (TRANSITIONS, FluxPoint, blackbody_weights,
+                              dilute_tables, dilute_tables_grid,
+                              effective_single_frequency, flux_point,
+                              nups_prefactor_per_s, nups_rates,
                               paps_flux_profile, paps_prefactor_per_s,
                               paps_rates, paps_unit_grid, per_qp_tunneling,
                               rate_breakdown)
 from parityflux.spectrum import Junction, charge_matrix_elements
+from parityflux.superconductor import nups_integral_grid, paps_integral_grid
 
 
 def films(device, x0=6.2e-9, x3=1e-10):
@@ -220,3 +222,83 @@ def test_blackbody_weights():
     assert np.allclose(w3 / w1, f**2)
     with pytest.raises(ValueError):
         blackbody_weights(f, 1.0, "2d")
+
+
+def _count_calls(monkeypatch, name):
+    """Record the qubit energies of every rates.<name> call."""
+    omegas = []
+    original = getattr(rates, name)
+
+    def counting(om, *a, **kw):
+        omegas.append(np.asarray(om, dtype=float).copy())
+        return original(om, *a, **kw)
+
+    monkeypatch.setattr(rates, name, counting)
+    return omegas
+
+
+def test_one_structure_factor_per_distinct_energy(device, monkeypatch):
+    nups = _count_calls(monkeypatch, "nups_integral_grid")
+    paps = _count_calls(monkeypatch, "paps_integral_grid")
+    points = [flux_point(device, p) for p in (0.0, 0.145, 0.4)]
+    fqs = np.array([pt.fq for pt in points])
+    dilute_tables_grid(device, points)
+    # 3 distinct energies x 2 directions; 0->0 and 1->1 share omega = 0
+    assert len(nups) == 6 and not paps
+    assert sorted(tuple(om) for om in nups) == sorted(
+        2 * [tuple(0.0 * fqs), tuple(fqs), tuple(-fqs)])
+    nups.clear()
+    paps_unit_grid(device, points, 112.0)
+    assert len(paps) == 6 and not nups
+    paps.clear()
+    left, right = films(device)
+    nups_rates(device, 0.0, left, right, point=points[0])
+    assert len(nups) == 6
+    paps_rates(device, 0.0, PhotonDrive(112.0, 1e-3), point=points[0])
+    assert len(paps) == 6
+
+
+def _reference_junction_sum(device, points, pair_of, weight):
+    """The per-transition assembly: pair_of(i, j) once per transition,
+    junction-summed."""
+    s = np.stack([np.reshape(pair_of(i, j), (-1, 2)) for (i, j) in TRANSITIONS],
+                 axis=1).reshape(-1, 2, 2, 2)
+    total = 0
+    for junction, f_ej in ((Junction.J1, device.ej1), (Junction.J2, device.ej2)):
+        m_cos = np.array([pt.mels[junction].m_cos for pt in points])
+        m_sin = np.array([pt.mels[junction].m_sin for pt in points])
+        total = total + weight(f_ej) * (m_cos * s[..., 1] + m_sin * s[..., 0])
+    return total
+
+
+def test_grid_assembly_matches_per_transition_reference(device):
+    points = [flux_point(device, p) for p in (0.0, 0.145, 0.4)]
+    fqs = np.array([pt.fq for pt in points])
+
+    def film(low, mu):
+        return FilmState(gap=device.gap_low if low else device.gap_high,
+                         temperature=device.t_ph, mu=mu, x_qp=0.0,
+                         volume=device.volume_low if low else device.volume_high,
+                         dynes=device.dynes)
+
+    tables = dilute_tables_grid(device, points)
+    low, high = film(True, 0.0), film(False, 0.0)
+    for occ, emp, got in ((low, high, [t.lr for t in tables]),
+                          (high, low, [t.rl for t in tables])):
+        ref = _reference_junction_sum(
+            device, points,
+            lambda i, j: nups_integral_grid(
+                fqs * (j - i), occ, emp, pauli_blocking=False, boltzmann=True,
+                mean_gap=device.gap_mean),
+            nups_prefactor_per_s)
+        assert np.array_equal(np.array(got), ref)
+
+    low, high = film(True, -math.inf), film(False, -math.inf)
+    pref = np.reshape(paps_prefactor_per_s(device, 1.0, 112.0, fqs), (-1, 1, 1))
+    ref = _reference_junction_sum(
+        device, points,
+        lambda i, j: sum(paps_integral_grid(
+            fqs * (j - i), 112.0, a, b, pauli_blocking=False,
+            mean_gap=device.gap_mean) for a, b in ((low, high), (high, low))),
+        lambda f_ej: pref * (f_ej / (device.ej1 + device.ej2)))
+    assert np.array_equal(paps_unit_grid(device, points, 112.0), ref)

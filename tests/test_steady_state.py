@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -138,3 +139,24 @@ def test_solve_trapping_for_density(device_early):
     assert st.x0 == pytest.approx(6.2e-9, rel=1e-6)
     with pytest.raises(SteadyStateError, match="unreachable"):
         solve_trapping_for_density(device_early, 0.0, drive, 1e-6)
+
+
+def test_solve_trapping_computes_gamma_p_once(device_early, monkeypatch):
+    # the package's steady_state attribute is the function, not the module
+    ss = importlib.import_module("parityflux.steady_state")
+    calls = {"paps_unit_grid": 0, "mu_from_xqp": 0}
+
+    def counting(name):
+        original = getattr(ss, name)
+
+        def wrapped(*a, **kw):
+            calls[name] += 1
+            return original(*a, **kw)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(ss, name, counting(name))
+    s = solve_trapping_for_density(device_early, 0.0, PhotonDrive(112.0, 1.9e-3),
+                                   6.2e-9)
+    assert s > 0
+    assert calls == {"paps_unit_grid": 1, "mu_from_xqp": 0}

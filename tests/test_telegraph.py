@@ -28,6 +28,23 @@ def test_simulate_rejects_non_finite_rate_and_bad_dt():
             simulate_trace(341.0, 1000, dt=dt, seed=1)
 
 
+def test_simulate_rejects_negative_rate():
+    for gamma in (-5.0, lambda t: np.where(t > 1e-3, -1.0, 341.0)):
+        with pytest.raises(ValueError, match="gamma: switching rate must be "
+                                             "finite and nonnegative"):
+            simulate_trace(gamma, 1000, seed=1)
+    # a zero rate is allowed and never flips
+    assert (simulate_trace(0.0, 1000, seed=1).samples == 1).all()
+
+
+def test_conditional_rejects_negative_rates_and_times():
+    for kw, name in (({"gamma0": -1.0}, "gamma0"), ({"gamma1": -1.0}, "gamma1"),
+                     ({"t1": -1.0}, "t1"), ({"t1": 0.0}, "t1")):
+        args = {"gamma0": 200.0, "gamma1": 400.0, "t1": 40e-6, **kw}
+        with pytest.raises(ValueError, match="%s must be" % name):
+            conditional_rates(**args, seed=1)
+
+
 def test_seeded_determinism():
     a = simulate_trace(341.0, 50_000, seed=99)
     b = simulate_trace(341.0, 50_000, seed=99)
@@ -54,6 +71,14 @@ def test_psd_gamma_protocol_geometry():
     assert diag["n_groups"] == 10
     assert gamma == pytest.approx(341.0, rel=0.05)
     assert floor < 1e-6
+
+
+def test_psd_gamma_rejects_non_positive_segment_and_average():
+    tr = simulate_trace(341.0, 20_000, seed=3)
+    for args, name in (((0, 5), "segment_len"), ((-4, 5), "segment_len"),
+                       ((4000, 0), "n_avg")):
+        with pytest.raises(ValueError, match="%s must be at least 1" % name):
+            psd_gamma(tr, *args)
 
 
 def test_psd_fidelity_floor_and_invariance():
