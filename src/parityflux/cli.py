@@ -8,6 +8,7 @@ success, 1 domain/numeric errors, 2 usage errors.
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -104,21 +105,27 @@ def _load_device(args):
     return DeviceParams(), FluxFrequencyMap(), {}, {}
 
 
+def _setting(args, name, dyn_cfg, key, default):
+    """The flag ``name`` if given, else config key ``key``, else default."""
+    value = getattr(args, name, None)
+    return value if value is not None else dyn_cfg.get(key, default)
+
+
 def _dyn_from(args, dyn_cfg):
-    s = args.s if getattr(args, "s", None) is not None else dyn_cfg.get("s_per_s", 11.0)
-    g = args.g_other if getattr(args, "g_other", None) is not None else dyn_cfg.get("g_other_per_s", 8e-8)
-    r = args.r if getattr(args, "r", None) is not None else dyn_cfg.get("r_per_s", 1.0 / 120e-9)
-    return DynamicsParams(s=s, r=r, g_other=g)
+    d = DynamicsParams()
+    return DynamicsParams(
+        s=_setting(args, "s", dyn_cfg, "s_per_s", d.s),
+        r=_setting(args, "r", dyn_cfg, "r_per_s", d.r),
+        g_other=_setting(args, "g_other", dyn_cfg, "g_other_per_s", d.g_other))
 
 
 def _drive_from(args, dyn_cfg):
-    nbar = args.nbar if getattr(args, "nbar", None) is not None else dyn_cfg.get("nbar", 0.0)
-    fp = args.fp if getattr(args, "fp", None) is not None else dyn_cfg.get("fp_ghz", 110.0)
-    return PhotonDrive(f_p=fp, n_bar=nbar)
+    return PhotonDrive(f_p=_setting(args, "fp", dyn_cfg, "fp_ghz", 110.0),
+                       n_bar=_setting(args, "nbar", dyn_cfg, "nbar", 0.0))
 
 
 def _rho_from(args, dyn_cfg):
-    rho1 = args.rho1 if getattr(args, "rho1", None) is not None else dyn_cfg.get("rho1", 0.5)
+    rho1 = _setting(args, "rho1", dyn_cfg, "rho1", 0.5)
     if not 0.0 <= rho1 <= 1.0:
         raise UsageError("rho1 must lie in [0, 1]")
     return (1.0 - rho1, rho1)
@@ -264,21 +271,35 @@ def _parse_bindings(spec):
     return out
 
 
-def _parse_init(spec):
+def _parse_init(spec, bindings):
+    """name=value items of --init: a name from FIT_PARAMETERS and a finite
+    value each, and a value for every bound parameter."""
     out = {}
     for item in spec.split(","):
         if not item:
             continue
-        name, _, val = item.partition("=")
+        name, eq, val = item.partition("=")
         name = {"f_p": "f_P"}.get(name.strip().lower(), name.strip())
-        out[name] = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan
+        if not eq or name not in FIT_PARAMETERS or not math.isfinite(value):
+            raise UsageError("--init items look like name=number with a "
+                             "finite number and a name among %s, got %r"
+                             % (", ".join(FIT_PARAMETERS), item))
+        out[name] = value
+    for name in bindings:
+        if name in FIT_PARAMETERS and name not in out:
+            raise UsageError("--init needs a value for the bound parameter %r"
+                             % name)
     return out
 
 
 def cmd_fit(args):
     params, fmap, dyn_cfg, cfg_vals = _load_device(args)
     bindings = _parse_bindings(args.bind)
-    init = _parse_init(args.init)
+    init = _parse_init(args.init, bindings)
     datasets = []
     for k, path in enumerate(args.data):
         phi, gam, sig = _read_data_csv(path, fmap)
@@ -465,10 +486,12 @@ def cmd_make_synthetic(args):
 
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="parityflux",
+        prog="parityflux", allow_abbrev=False,
         description="Charge-parity switching pipelines: spectra, rates, "
                     "steady-state curves, fits, and telegraph analysis.")
     sub = p.add_subparsers(dest="subcommand", required=True)
+    # a flag matches only its full name, never a prefix of it
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(q, config=True, dynamics=False):
         if config:
@@ -480,13 +503,13 @@ def build_parser():
                 q.add_argument("--%s" % name, type=float,
                                dest=name.replace("-", "_"))
 
-    q = sub.add_parser("spectrum", help="parity spectra and matrix elements")
+    q = add_parser("spectrum", help="parity spectra and matrix elements")
     add_common(q)
     q.add_argument("--flux", required=True, help="start:stop:count")
     q.add_argument("--n-trunc", type=int, default=DEFAULT_NTRUNC)
     q.set_defaults(func=cmd_spectrum)
 
-    q = sub.add_parser("rates", help="rate breakdown at fixed densities")
+    q = add_parser("rates", help="rate breakdown at fixed densities")
     add_common(q)
     q.add_argument("--flux", required=True)
     q.add_argument("--x0", type=float, required=True, help="low-gap film density")
@@ -496,17 +519,17 @@ def build_parser():
     q.add_argument("--rho1", type=float)
     q.set_defaults(func=cmd_rates)
 
-    q = sub.add_parser("steady-state", help="solve one flux point")
+    q = add_parser("steady-state", help="solve one flux point")
     add_common(q, dynamics=True)
     q.add_argument("--phi", type=float, required=True)
     q.set_defaults(func=cmd_curve)
 
-    q = sub.add_parser("sweep", help="model curve over a flux grid")
+    q = add_parser("sweep", help="model curve over a flux grid")
     add_common(q, dynamics=True)
     q.add_argument("--flux", required=True)
     q.set_defaults(func=cmd_curve)
 
-    q = sub.add_parser("fit", help="multi-dataset model fit")
+    q = add_parser("fit", help="multi-dataset model fit")
     add_common(q)
     q.add_argument("--data", action="append", required=True)
     q.add_argument("--bind", required=True,
@@ -520,20 +543,20 @@ def build_parser():
                         "scan); requires --lamp-mode")
     q.set_defaults(func=cmd_fit)
 
-    q = sub.add_parser("thermal-fit", help="mean gap from a temperature sweep")
+    q = add_parser("thermal-fit", help="mean gap from a temperature sweep")
     add_common(q)
     q.add_argument("--data", required=True, help="CSV: t_kelvin,gamma_per_s")
     q.add_argument("--mode", choices=("paps_offset", "qp_background"),
                    default="paps_offset")
     q.set_defaults(func=cmd_thermal_fit)
 
-    q = sub.add_parser("lamp", help="lamp-power model fit")
+    q = add_parser("lamp", help="lamp-power model fit")
     q.add_argument("--data", required=True, help="CSV: p_lamp_uw,gamma_per_s")
     q.add_argument("--t-mc", type=float, default=0.03, dest="t_mc")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_lamp)
 
-    q = sub.add_parser("telegraph", help="trace simulation and estimators")
+    q = add_parser("telegraph", help="trace simulation and estimators")
     q.add_argument("action", choices=("simulate", "analyze", "conditional",
                                       "bursts"))
     q.add_argument("--gamma", type=float)
@@ -554,8 +577,8 @@ def build_parser():
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_telegraph)
 
-    q = sub.add_parser("make-synthetic",
-                       help="bundled synthetic round-trip datasets")
+    q = add_parser("make-synthetic",
+                   help="bundled synthetic round-trip datasets")
     q.add_argument("--config")
     q.add_argument("--kind", choices=("single", "lamp-series"), default="lamp-series")
     q.add_argument("--seed", type=int)

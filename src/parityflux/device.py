@@ -88,6 +88,9 @@ def cooper_pair_number(gap_ghz, volume_um3, dos_fermi):
     return 2.0 * dos_fermi * (H_JS * gap_ghz * 1e9) * volume_um3
 
 
+_CALIBRATION_TOL = 1e-9  # allowed |fq0 sqrt(d) - fq_half| / fq0
+
+
 @dataclass(frozen=True)
 class FluxFrequencyMap:
     """Two-point calibration of f_q(Phi).
@@ -101,7 +104,6 @@ class FluxFrequencyMap:
     fq0: float = 5.0594      # f_q at Phi = 0 (GHz)
     fq_half: float = 3.5624  # f_q at Phi/Phi0 = 0.5 (GHz)
     d: float | None = None   # asymmetry; (fq_half/fq0)^2 when omitted
-    calibration_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.fq0 > self.fq_half > 0:
@@ -111,7 +113,7 @@ class FluxFrequencyMap:
         if not 0 < self.d < 1:
             raise ValueError("asymmetry d must lie in (0, 1)")
         mismatch = abs(self.fq0 * math.sqrt(self.d) - self.fq_half)
-        if mismatch > self.calibration_tol * self.fq0:
+        if mismatch > _CALIBRATION_TOL * self.fq0:
             raise ValueError(
                 "fq0*sqrt(d) = %.6f GHz disagrees with fq_half = %.6f GHz "
                 "beyond the calibration tolerance" % (self.fq0 * math.sqrt(self.d), self.fq_half)
@@ -165,9 +167,9 @@ _MAP_KEYS = {"fq0_ghz", "fq_half_ghz"}
 _DYNAMICS_KEYS = {"s_per_s", "g_other_per_s", "r_per_s", "nbar", "fp_ghz", "rho1"}
 
 
-def parse_config_text(text, extra_keys=frozenset()):
+def parse_config_text(text):
     """Parse `key = value` lines; '#' starts a comment; unknown keys error."""
-    known = _DEVICE_KEYS | _MAP_KEYS | _DYNAMICS_KEYS | set(extra_keys)
+    known = _DEVICE_KEYS | _MAP_KEYS | _DYNAMICS_KEYS
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -33,6 +33,11 @@ FIT_PARAMETERS = ("f_P", "n_bar", "s", "g_other", "gap_diff")
 _LOG_SCALED = {"n_bar", "s", "g_other"}
 # quadrature tolerance inside fit loops (smooth finite differences)
 _FIT_RTOL = 1e-9
+# Levenberg-Marquardt settings
+_LM_REL_STEP = 1e-4  # relative finite-difference step
+_LM_MAX_ITER = 200
+_LM_FTOL = 1e-10     # relative cost improvement that counts as a stall
+_LM_XTOL = 1e-10     # relative step size that ends the loop
 
 DEFAULT_BOUNDS = {
     "f_P": (104.5, 400.0),
@@ -79,16 +84,16 @@ def _fd_jacobian(fun, z, f0, step):
     return jac
 
 
-def lm_least_squares(residual_fn, x0, lower, upper, log_mask, rel_step=1e-4,
-                     max_iter=200, ftol=1e-10, xtol=1e-10, names=None,
-                     check_jacobian=True):
+def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
     """Levenberg-Marquardt with multiplicative damping (nu = 2 schedule).
 
     residual_fn maps the parameter vector (untransformed) to the weighted
     residual vector.  log_mask marks parameters optimized as log(x); trial
     steps landing outside the box bounds are rejected (damping grows until
-    the step stays inside).  Accepted steps never increase the cost.
-    Raises DegenerateFitError when the normal matrix at the solution is
+    the step stays inside).  Accepted steps never increase the cost.  The
+    first Jacobian is checked against central differences (jacobian_check).
+    Raises ValueError when x0 is not inside the bounds (NaN included) and
+    DegenerateFitError when the normal matrix at the solution is
     numerically singular.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -96,7 +101,7 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, rel_step=1e-4,
     upper = np.asarray(upper, dtype=float)
     log_mask = np.asarray(log_mask, dtype=bool)
     names = names or ["p%d" % k for k in range(x0.size)]
-    if np.any(x0 < lower) or np.any(x0 > upper):
+    if not np.all((lower <= x0) & (x0 <= upper)):
         raise ValueError("initial point outside bounds")
     if np.any(log_mask & (lower <= 0)):
         raise ValueError("log-scaled parameters need positive lower bounds")
@@ -132,12 +137,12 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, rel_step=1e-4,
     def fd_point(zq):
         return fun(np.minimum(np.maximum(zq, z_lo), z_hi))
 
-    for n_iter in range(1, max_iter + 1):
-        jac = _fd_jacobian(fd_point, z, r, rel_step)
-        if check_jacobian and n_iter == 1:
+    for n_iter in range(1, _LM_MAX_ITER + 1):
+        jac = _fd_jacobian(fd_point, z, r, _LM_REL_STEP)
+        if n_iter == 1:
             jac_c = np.empty_like(jac)
             for k in range(z.size):
-                dz = 2.0 * rel_step * max(abs(z[k]), 1.0)
+                dz = 2.0 * _LM_REL_STEP * max(abs(z[k]), 1.0)
                 zp, zm = z.copy(), z.copy()
                 zp[k] += dz
                 zm[k] -= dz
@@ -175,16 +180,16 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, rel_step=1e-4,
         lam = max(lam / 2.0, 1e-12)
         # a tiny improvement only counts as converged once damping has
         # relaxed and it repeats; single stalls in flat valleys are not minima
-        if (rel_impr < ftol and lam <= 1e-2) or step_size < xtol:
+        if (rel_impr < _LM_FTOL and lam <= 1e-2) or step_size < _LM_XTOL:
             stalls += 1
-            if stalls >= 2 or step_size < xtol:
+            if stalls >= 2 or step_size < _LM_XTOL:
                 break
         else:
             stalls = 0
 
     x = to_x(z)
     # covariance from the scaled inverse normal matrix at the solution
-    jac = _fd_jacobian(fun, z, r, rel_step)
+    jac = _fd_jacobian(fun, z, r, _LM_REL_STEP)
     jtj = jac.T @ jac
     u, sv, vt = np.linalg.svd(jtj)
     if sv[0] == 0 or sv[-1] / sv[0] < 1e-12:
@@ -239,7 +244,6 @@ class FitProblem:
     rho: tuple = (0.5, 0.5)
     n_g: float = DEFAULT_NG
     model: str = "full"
-    convention: str = "calibrated"
 
     def __post_init__(self):
         for name in self.free:
@@ -308,8 +312,7 @@ class GammaModel:
         if key not in self._nups_cache:
             params = self.base.with_(gap_diff=float(gap_diff))
             self._nups_cache[key] = dilute_tables_grid(
-                params, self.points[ds_idx], self.rtol,
-                convention=self.problem.convention)
+                params, self.points[ds_idx], self.rtol)
         return self._nups_cache[key]
 
     def _paps_units(self, gap_diff, f_p, ds_idx):
@@ -317,8 +320,7 @@ class GammaModel:
         if key not in self._paps_cache:
             params = self.base.with_(gap_diff=float(gap_diff))
             self._paps_cache[key] = paps_unit_grid(
-                params, self.points[ds_idx], float(f_p), self.rtol,
-                convention=self.problem.convention)
+                params, self.points[ds_idx], float(f_p), self.rtol)
         return self._paps_cache[key]
 
     def dataset_values(self, vector):
@@ -374,7 +376,7 @@ class GammaModel:
 
 
 def fit(problem: FitProblem, init, params: DeviceParams = None,
-        r=1.0 / 120e-9, max_iter=200, rel_step=1e-4):
+        r=1.0 / 120e-9):
     """Fit the model to the problem's datasets from an initial guess.
 
     ``init`` maps parameter names to scalars (shared) or per-dataset lists.
@@ -397,7 +399,7 @@ def fit(problem: FitProblem, init, params: DeviceParams = None,
     log_mask = np.array([n in _LOG_SCALED for n, _ in slots])
 
     res = lm_least_squares(model.residuals, x0, lower, upper, log_mask,
-                           rel_step=rel_step, max_iter=max_iter, names=names)
+                           names=names)
     curves = model.evaluate(res.x)
     resids = [(c - ds.gamma) / ds.sigma
               for c, ds in zip(curves, problem.datasets)]
@@ -498,8 +500,7 @@ def fit_lamp_series(datasets, params: DeviceParams = None,
 # thermal sweep: extract the mean gap
 
 def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
-                      rho=(0.5, 0.5), x_background=0.0, rtol=1e-8, point=None,
-                      convention="calibrated"):
+                      rho=(0.5, 0.5), x_background=0.0, rtol=1e-8, point=None):
     """rho-weighted NUPS rate with thermal (mu = 0) films at temperature t.
 
     x_background adds a temperature-independent excess density on both
@@ -520,13 +521,12 @@ def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
                      x_qp=0.0, volume=params.volume_low, dynes=params.dynes)
     right = FilmState(gap=params.gap_high, temperature=t_kelvin, mu=mu_r,
                       x_qp=0.0, volume=params.volume_high, dynes=params.dynes)
-    _, tot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point,
-                        convention=convention)
+    _, tot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point)
     return float(rho_weighted(tot, rho))
 
 
 def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
-                phi=0.0, n_g=DEFAULT_NG, convention="calibrated"):
+                phi=0.0, n_g=DEFAULT_NG):
     """Two-parameter fit of a (T, Gamma) sweep.
 
     mode "paps_offset": Gamma(T) = offset + Gamma_N_thermal(T; gap_mean);
@@ -548,7 +548,7 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
         p = params.with_(gap_mean=float(gap_mean))
         gamma_n = np.array([thermal_nups_rate(
             p, t, phi, n_g, x_background=0.0 if offset else extra,
-            point=point, convention=convention) for t in temps])
+            point=point) for t in temps])
         return extra + gamma_n if offset else gamma_n
 
     def residual(theta):

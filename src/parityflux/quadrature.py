@@ -60,7 +60,7 @@ def _panel(f, a, b):
     return ik, err
 
 
-def adaptive_quad(f, a, b, rtol=1e-9, atol=0.0, max_intervals=4096):
+def adaptive_quad(f, a, b, rtol=1e-9, max_intervals=4096):
     """Integrate ``f`` over [a, b].
 
     ``f`` takes a 1-d array of abscissae and returns either an array of the
@@ -92,7 +92,7 @@ def adaptive_quad(f, a, b, rtol=1e-9, atol=0.0, max_intervals=4096):
                 % (edges_a[worst], edges_b[worst]),
                 interval=(edges_a[worst], edges_b[worst]),
             )
-        bound = max(atol, rtol * np.abs(total).max())
+        bound = rtol * np.abs(total).max()
         if tot_err <= bound or tot_err == 0.0:
             break
         if len(edges_a) >= max_intervals:

@@ -12,24 +12,19 @@ energy (j - i) f_q; the one junction sum, ``_junction_rates``, takes them
 keyed by delta = j - i in {0, +1, -1}, and each channel has one assembly on
 it (``_nups_channels``, ``_paps_channels``).
 
-Two prefactor conventions are provided, selected by ``convention``:
+The prefactors are the ones that reproduce the reference device's measured
+and fitted rates (excitation/relaxation 134/247 1/s at zero flux, the
+81 1/s no-photon floor, the 1e-10 high-gap-film density, the 0.37
+generation balance):
 
-``derived``
-    The golden-rule prefactors at face value: 16 E_J/(pi hbar) = 32 f_EJ
-    for the number-conserving rate and n_bar g^2 w_r/(pi w_q w_P) for the
-    photon-assisted one.
+    number-conserving  16 E_J/(pi h)            = 32 f_EJ / 2 pi
+    photon-assisted    n_bar g^2 w_r/(pi w_P^2) = 2 n_bar g^2 f_r / f_P^2
 
-``calibrated`` (default)
-    The prefactors that reproduce the reference device's measured and
-    fitted rates (excitation/relaxation 134/247 1/s at zero flux, the
-    81 1/s no-photon floor, the 1e-10 high-gap-film density, the 0.37
-    generation balance): the number-conserving prefactor smaller by 2 pi
-    (16 E_J/(pi h)) and the photon-assisted prefactor with w_q -> w_P
-    (n_bar g^2 w_r/(pi w_P^2)).  The derived forms overshoot those anchors
-    by 2 pi and w_P/w_q ~ 20 respectively.
-
-Detailed balance, resonance positions, and all rate ratios are convention
-independent; only absolute magnitudes move.
+(frequencies in GHz, rates in 1/s after the factor 1e9).  The golden-rule
+prefactors at face value, 16 E_J/(pi hbar) = 32 f_EJ and
+n_bar g^2 w_r/(pi w_q w_P), are larger by 2 pi and by f_P/f_q ~ 20
+respectively and would overshoot those anchors.  Detailed balance and the
+ratios between transitions at one flux point do not depend on this choice.
 """
 
 import math
@@ -39,7 +34,7 @@ import numpy as np
 
 from .device import DeviceParams, cooper_pair_number, require_finite
 from .constants import thermal_energy_ghz
-from .spectrum import DEFAULT_NG, DEFAULT_NTRUNC, Junction, solve_sectors
+from .spectrum import DEFAULT_NG, Junction, solve_sectors
 from .superconductor import (FilmState, nups_integral_grid, paps_integral_grid,
                              xqp_from_mu)
 
@@ -47,8 +42,6 @@ from .superconductor import (FilmState, nups_integral_grid, paps_integral_grid,
 TRANSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # reduced densities below this are treated as dilute (no Pauli blocking)
 DILUTE_XQP = 1e-5
-
-PAPS_CONVENTIONS = ("calibrated", "derived")
 
 
 @dataclass(frozen=True)
@@ -84,25 +77,19 @@ class FluxPoint:
     mels: dict  # Junction -> ChargeMatrixElements
 
 
-def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG, n_trunc=DEFAULT_NTRUNC):
+def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG):
     for name, value in (("phi", phi), ("n_g", n_g)):
         if not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
-    sectors = solve_sectors(params, phi, n_g, n_trunc)
+    sectors = solve_sectors(params, phi, n_g)
     mels = {j: sectors.matrix_elements(j) for j in (Junction.J1, Junction.J2)}
     return FluxPoint(phi=phi, n_g=n_g, fq=sectors.spectrum().fq_mean, mels=mels)
 
 
-def nups_prefactor_per_s(f_ej_ghz, convention="calibrated"):
-    """Number-conserving golden-rule prefactor in 1/s.
-
-    derived:    16 E_J/(pi hbar) = 32 f_EJ
-    calibrated: 16 E_J/(pi h)    = 32 f_EJ / 2 pi
-    """
-    if convention not in PAPS_CONVENTIONS:
-        raise ValueError("unknown rate convention %r" % convention)
-    base = 32e9 * f_ej_ghz
-    return base if convention == "derived" else base / (2.0 * math.pi)
+def nups_prefactor_per_s(f_ej_ghz):
+    """Number-conserving golden-rule prefactor in 1/s: 16 E_J/(pi h) =
+    32 f_EJ / 2 pi."""
+    return 32e9 * f_ej_ghz / (2.0 * math.pi)
 
 
 def rho_weighted(g, rho):
@@ -137,8 +124,7 @@ def _junction_rates(params: DeviceParams, points, pair_of, weight):
     ``pair_of(delta)`` gives the (S_+, S_-) pairs at the qubit energy
     delta * f_q of the K flux points, shape (K, 2), once per delta in
     {0, +1, -1}; transition i -> j takes delta = j - i.  ``weight`` maps a
-    junction's E_J/h to its prefactor, a scalar or an array broadcasting
-    against (K, 2, 2).  Returns {Junction: (K, 2, 2)}.
+    junction's E_J/h to its prefactor in 1/s.  Returns {Junction: (K, 2, 2)}.
     """
     pairs = {delta: np.reshape(pair_of(delta), (-1, 2)) for delta in (0, 1, -1)}
     s = np.stack([pairs[j - i] for (i, j) in TRANSITIONS],
@@ -172,8 +158,7 @@ def _film_pauli(film):
     return film is not None and film.x_qp >= DILUTE_XQP
 
 
-def _nups_channels(params: DeviceParams, points, directions, rtol,
-                   convention):
+def _nups_channels(params: DeviceParams, points, directions, rtol):
     """NUPS channel rates {Junction: (K, 2, 2)} at the K flux points; the
     structure factors are summed over the (occupied, empty, pauli,
     boltzmann) ``directions`` in the order given."""
@@ -184,52 +169,41 @@ def _nups_channels(params: DeviceParams, points, directions, rtol,
             fqs * delta, occ, emp, rtol=rtol, pauli_blocking=pauli,
             boltzmann=mb, mean_gap=params.gap_mean)
             for occ, emp, pauli, mb in directions),
-        lambda f_ej: nups_prefactor_per_s(f_ej, convention))
+        nups_prefactor_per_s)
 
 
 def nups_rates(params: DeviceParams, phi, left: FilmState, right: FilmState,
-               n_g=DEFAULT_NG, direction="both", rtol=1e-8, point=None,
-               boltzmann=None, convention="calibrated"):
+               n_g=DEFAULT_NG, direction="both", rtol=1e-8, point=None):
     """Number-conserving rates; returns (per-junction dict, summed 2x2).
 
     ``left`` is the low-gap junction electrode, ``right`` the high-gap one.
     direction selects the occupied side: 'lr' (left occupied), 'rl', or
-    'both'.  ``boltzmann`` None picks the shortcut automatically where it is
-    exact to 1e-6.
+    'both'.  The Boltzmann shortcut is taken per direction where it is exact
+    to 1e-6.
     """
+    if direction not in ("lr", "rl", "both"):
+        raise ValueError("direction must be 'lr', 'rl' or 'both', got %r"
+                         % (direction,))
     point = point or flux_point(params, phi, n_g)
     directions = []
     for dname in (("lr", "rl") if direction == "both" else (direction,)):
         occ, emp = (left, right) if dname == "lr" else (right, left)
-        use_mb = occ.boltzmann_ok() if boltzmann is None else boltzmann
+        use_mb = occ.boltzmann_ok()
         directions.append((occ, emp, _film_pauli(emp) and not use_mb, use_mb))
-    rates = _nups_channels(params, [point], directions, rtol, convention)
+    rates = _nups_channels(params, [point], directions, rtol)
     per_junction = {junction: g[0] for junction, g in rates.items()}
     return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
 
 
-def paps_prefactor_per_s(params: DeviceParams, n_bar, f_p, fq,
-                         convention="calibrated", omega_q=None):
-    """Photon-assisted rate prefactor in 1/s; array-valued where fq is.
-
-    calibrated: n_bar g^2 w_r / (pi w_P^2)  ->  2e9 n_bar g^2 f_r / f_P^2
-    derived:    n_bar g^2 w_r / (pi w_q w_P) -> 2e9 n_bar g^2 f_r/(f_q f_P)
-    with all frequencies in GHz.  omega_q overrides the (flux-dependent)
-    qubit frequency used by the derived convention.
-    """
-    if convention not in PAPS_CONVENTIONS:
-        raise ValueError("unknown PAPS prefactor convention %r" % convention)
+def paps_prefactor_per_s(params: DeviceParams, n_bar, f_p):
+    """Photon-assisted rate prefactor in 1/s: n_bar g^2 w_r / (pi w_P^2) =
+    2e9 n_bar g^2 f_r / f_P^2 with all frequencies in GHz."""
     g2 = params.g_coupling**2
-    if convention == "calibrated":
-        denom = f_p * f_p
-    else:
-        denom = (omega_q if omega_q is not None else fq) * f_p
-    return 2e9 * n_bar * g2 * params.f_readout / denom
+    return 2e9 * n_bar * g2 * params.f_readout / (f_p * f_p)
 
 
 def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
-               n_g=DEFAULT_NG, rtol=1e-8, point=None,
-               convention="calibrated", omega_q=None):
+               n_g=DEFAULT_NG, rtol=1e-8, point=None):
     """Photon-assisted rates; returns (per-junction dict, summed 2x2).
 
     ``drive`` is a PhotonDrive or an iterable of modes (rates add linearly).
@@ -246,19 +220,18 @@ def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
             continue
         for junction, g in _paps_channels(
                 params, [point], mode.f_p, mode.n_bar, lfilm, rfilm, pauli,
-                rtol, convention, omega_q).items():
+                rtol).items():
             per_junction[junction] = per_junction[junction] + g[0]
     return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
 
 
 def _paps_channels(params: DeviceParams, points, f_p, n_bar, left, right,
-                   pauli, rtol, convention, omega_q):
+                   pauli, rtol):
     """PAPS channel rates {Junction: (K, 2, 2)} of one photon mode at the K
     flux points.  The pairs sum the photon's first QP on the left film and
     on the right film; each junction takes its E_J share of the prefactor."""
     fqs = np.array([pt.fq for pt in points])
-    pref = np.reshape(paps_prefactor_per_s(params, n_bar, f_p, fqs, convention,
-                                           omega_q), (-1, 1, 1))
+    pref = paps_prefactor_per_s(params, n_bar, f_p)
     ej_sum = params.ej1 + params.ej2
     return _junction_rates(
         params, points,
@@ -277,13 +250,12 @@ def _bare_film(params, low, mu=-math.inf):
 
 def rate_breakdown(params: DeviceParams, phi, left: FilmState, right: FilmState,
                    drive=None, n_g=DEFAULT_NG, rho=(0.5, 0.5), rtol=1e-8,
-                   point=None, convention="calibrated", omega_q=None):
+                   point=None):
     """Full NUPS + PAPS channel breakdown at one flux point."""
     point = point or flux_point(params, phi, n_g)
-    nj, ntot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point,
-                          convention=convention)
+    nj, ntot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point)
     pj, ptot = paps_rates(params, phi, drive, left, right, n_g, rtol=rtol,
-                          point=point, convention=convention, omega_q=omega_q)
+                          point=point)
     return RateBreakdown(phi=phi, fq=point.fq, gamma_n=ntot, gamma_p=ptot,
                          gamma_n_junction=nj, gamma_p_junction=pj,
                          rho=tuple(rho))
@@ -320,14 +292,13 @@ class DiluteTables:
 
 
 def dilute_tables(params: DeviceParams, phi, n_g=DEFAULT_NG, rtol=1e-8,
-                  point=None, convention="calibrated"):
+                  point=None):
     """Dilute NUPS rate tables at one flux point: dilute_tables_grid at K = 1."""
     point = point or flux_point(params, phi, n_g)
-    return dilute_tables_grid(params, [point], rtol, convention=convention)[0]
+    return dilute_tables_grid(params, [point], rtol)[0]
 
 
-def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8,
-                       convention="calibrated"):
+def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8):
     """Dilute NUPS tables for many flux points with batched quadrature.
 
     The three distinct qubit energies and two directions become 6
@@ -336,7 +307,7 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8,
     """
     low, high = _bare_film(params, True, mu=0.0), _bare_film(params, False, mu=0.0)
     lr, rl = (sum(_nups_channels(params, points, [(occ, emp, False, True)],
-                                 rtol, convention).values())
+                                 rtol).values())
               for occ, emp in ((low, high), (high, low)))
     x_ref = xqp_from_mu(params.gap_low, params.t_ph, 0.0, params.dynes,
                         rtol=1e-10)
@@ -345,19 +316,17 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8,
             for k, pt in enumerate(points)]
 
 
-def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8,
-                   convention="calibrated", omega_q=None):
+def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8):
     """Junction-summed PAPS 2x2 per unit n_bar for many flux points; returns
     a (K, 2, 2) array."""
     return sum(_paps_channels(params, points, f_p, 1.0,
                               _bare_film(params, low=True),
-                              _bare_film(params, low=False), False, rtol,
-                              convention, omega_q).values())
+                              _bare_film(params, low=False), False,
+                              rtol).values())
 
 
 def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
-                     n_g=DEFAULT_NG, rho=(0.5, 0.5), rtol=1e-8, tables=None,
-                     convention="calibrated"):
+                     n_g=DEFAULT_NG, rho=(0.5, 0.5), rtol=1e-8, tables=None):
     """Directional per-QP tunneling rate (1/s per QP) in the dilute limit.
 
     low_to_high normalizes by the QP number on the low-gap side; the reverse
@@ -366,18 +335,17 @@ def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
     """
     if direction not in ("low_to_high", "high_to_low"):
         raise ValueError("direction must be 'low_to_high' or 'high_to_low'")
-    tables = tables or dilute_tables(params, phi, n_g, rtol, convention=convention)
+    tables = tables or dilute_tables(params, phi, n_g, rtol)
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low, params.dos_fermi)
     return tables.per_qp(rho, n_cp_low, direction)
 
 
 def paps_unit_rates(params: DeviceParams, phi, f_p, n_g=DEFAULT_NG, rtol=1e-8,
-                    point=None, convention="calibrated", omega_q=None):
+                    point=None):
     """Junction-summed 2x2 PAPS matrix per unit mode occupation (dilute):
     paps_unit_grid at K = 1."""
     point = point or flux_point(params, phi, n_g)
-    return paps_unit_grid(params, [point], f_p, rtol, convention=convention,
-                          omega_q=omega_q)[0]
+    return paps_unit_grid(params, [point], f_p, rtol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +363,10 @@ def blackbody_weights(freqs_ghz, t_kelvin, kind="3d"):
 
 
 def paps_flux_profile(params, f_p, flux_grid, rho=(0.5, 0.5), n_g=DEFAULT_NG,
-                      rtol=1e-8, points=None, convention="calibrated"):
+                      rtol=1e-8, points=None):
     """rho-weighted total PAPS rate per unit n_bar on a flux grid."""
     points = points or [flux_point(params, p, n_g) for p in flux_grid]
-    return rho_weighted(paps_unit_grid(params, points, f_p, rtol,
-                                       convention=convention), rho)
+    return rho_weighted(paps_unit_grid(params, points, f_p, rtol), rho)
 
 
 def effective_single_frequency(spectrum_freqs, spectrum_weights,

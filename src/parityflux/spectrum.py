@@ -19,6 +19,7 @@ import numpy as np
 
 DEFAULT_NG = 0.25   # midpoint between the charge-dispersion extremes
 DEFAULT_NTRUNC = 31  # charge states -15..15
+N_LEVELS = 5         # levels per parity sector kept in a SpectrumResult
 
 
 class TruncationError(RuntimeError):
@@ -128,9 +129,9 @@ class Sectors:
     w_odd: np.ndarray
     v_odd: np.ndarray
 
-    def spectrum(self, n_levels=5):
+    def spectrum(self):
         we, wo = self.w_even, self.w_odd
-        k = min(n_levels, len(we))
+        k = min(N_LEVELS, len(we))
         return SpectrumResult(levels_even=we[:k].copy(), levels_odd=wo[:k].copy(),
                               fq_even=float(we[1] - we[0]),
                               fq_odd=float(wo[1] - wo[0]))
@@ -165,11 +166,11 @@ def solve_sectors(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,
     return Sectors(phi, flux_on_j2, we, ve, wo, vo)
 
 
-def parity_spectrum(params, phi, n_g, n_trunc=DEFAULT_NTRUNC, n_levels=5,
+def parity_spectrum(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,
                     check_convergence=True):
     """Even manifold at n_g, odd at n_g - 1/2."""
     return solve_sectors(params, phi, n_g, n_trunc,
-                         check_convergence).spectrum(n_levels)
+                         check_convergence).spectrum()
 
 
 def charge_matrix_elements(params, phi, n_g=DEFAULT_NG, junction=Junction.J1,

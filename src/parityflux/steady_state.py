@@ -32,6 +32,9 @@ from .rates import (DEFAULT_NG, ChannelTotals, _drive_list, dilute_tables,
                     rho_weighted)
 from .superconductor import mu_from_xqp
 
+_NEWTON_STEPS = 100  # solve_balance cap; it converges in a handful
+_S_MAX = 1e4         # upper end (1/s) of the trapping-rate bracket
+
 
 class SteadyStateError(RuntimeError):
     """No finite steady state, or Newton failed to converge."""
@@ -85,7 +88,7 @@ def _decoupled_root(g, lin, quad):
 
 
 def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
-                  model="full", max_iter=100):
+                  model="full"):
     """Newton solve of the two-density balance; returns (x0, x2).
 
     The system is quadratic so the analytic Jacobian Newton iteration from
@@ -114,7 +117,7 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
         f2 = g_per_side - s_eff * x2 - r_eff * x2 * x2 + gamma03 * x0 - t30 * x2
         return f0, f2
 
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         f0, f2 = residuals(x0, x2)
         scale = max(g_per_side, s_eff * max(x0, x2), r_eff * max(x0, x2) ** 2,
                     gamma03 * x0, t30 * x2, 1e-300)
@@ -138,17 +141,17 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
         x2 += step * dx2
     f0, f2 = residuals(x0, x2)
     raise SteadyStateError(
-        "density balance did not converge in %d Newton steps" % max_iter,
+        "density balance did not converge in %d Newton steps" % _NEWTON_STEPS,
         residual=max(abs(f0), abs(f2)),
     )
 
 
 def steady_state(params: DeviceParams, dyn: DynamicsParams, phi, drive,
                  rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
-                 tables=None, convention="calibrated"):
+                 tables=None):
     """Steady-state QP densities at one flux point."""
     return curve_point(params, dyn, phi, drive, rho, n_g, model, rtol,
-                       tables=tables, convention=convention).state
+                       tables=tables).state
 
 
 def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
@@ -184,7 +187,7 @@ class CurvePoint(ChannelTotals):
     rho: tuple
 
 
-def _gamma_p(params, tables, drive, rtol, convention):
+def _gamma_p(params, tables, drive, rtol):
     """Junction-summed 2x2 Gamma_P at the flux points of ``tables``; one
     batched paps_unit_grid per occupied mode."""
     points = [tab.point for tab in tables]
@@ -192,13 +195,13 @@ def _gamma_p(params, tables, drive, rtol, convention):
     for mode in _drive_list(drive):
         if mode.n_bar > 0:
             gamma_p = gamma_p + mode.n_bar * paps_unit_grid(
-                params, points, mode.f_p, rtol, convention=convention)
+                params, points, mode.f_p, rtol)
     return gamma_p
 
 
-def _curve_points(params, dyn, tables, drive, rho, model, rtol, convention):
+def _curve_points(params, dyn, tables, drive, rho, model, rtol):
     """CurvePoints for the flux points of ``tables`` (batched PAPS)."""
-    gamma_p = _gamma_p(params, tables, drive, rtol, convention)
+    gamma_p = _gamma_p(params, tables, drive, rtol)
     solved = balance_curve(params, dyn, tables, gamma_p, rho, model)
     return [CurvePoint(phi=tab.point.phi, fq=tab.point.fq,
                        state=_qp_state(params, x0, x2, tab.eta),
@@ -208,17 +211,15 @@ def _curve_points(params, dyn, tables, drive, rho, model, rtol, convention):
 
 def curve_point(params: DeviceParams, dyn: DynamicsParams, phi, drive,
                 rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
-                tables=None, convention="calibrated"):
+                tables=None):
     """Model curve at one flux point (K = 1); ``tables`` reuses its dilute
     NUPS tables across calls."""
-    tables = tables or dilute_tables(params, phi, n_g, rtol, convention=convention)
-    return _curve_points(params, dyn, [tables], drive, rho, model, rtol,
-                         convention)[0]
+    tables = tables or dilute_tables(params, phi, n_g, rtol)
+    return _curve_points(params, dyn, [tables], drive, rho, model, rtol)[0]
 
 
 def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
-                rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
-                convention="calibrated"):
+                rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8):
     """Model curve over a flux grid; returns a list of CurvePoint.
 
     The structure-factor tables for the whole grid are evaluated in batched
@@ -226,26 +227,24 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     """
     points = [flux_point(params, float(p), n_g)
               for p in np.asarray(flux_grid, dtype=float)]
-    tables = dilute_tables_grid(params, points, rtol, convention=convention)
-    return _curve_points(params, dyn, tables, drive, rho, model, rtol,
-                         convention)
+    tables = dilute_tables_grid(params, points, rtol)
+    return _curve_points(params, dyn, tables, drive, rho, model, rtol)
 
 
 def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,
                                g_other=0.0, r=1.0 / 120e-9, rho=(0.5, 0.5),
-                               n_g=DEFAULT_NG, model="full", rtol=1e-8,
-                               s_max=1e4, convention="calibrated"):
+                               n_g=DEFAULT_NG, model="full", rtol=1e-8):
     """Trapping rate s that makes x0(phi) equal target_x0.
 
-    x0 decreases monotonically with s; bisection between 0 and s_max, each
+    x0 decreases monotonically with s; bisection between 0 and _S_MAX, each
     step solving only the balance (tables and Gamma_P do not depend on s).
     Raises SteadyStateError when the target is unreachable (x0 at s = 0
     already below target, i.e. tunneling drain exceeds generation).
     """
     from scipy.optimize import brentq
 
-    tables = [dilute_tables(params, phi, n_g, rtol, convention=convention)]
-    gamma_p = _gamma_p(params, tables, drive, rtol, convention)
+    tables = [dilute_tables(params, phi, n_g, rtol)]
+    gamma_p = _gamma_p(params, tables, drive, rtol)
 
     def x0_at(s):
         dyn = DynamicsParams(s=s, r=r, g_other=g_other)
@@ -257,9 +256,9 @@ def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,
             "target x0 = %g unreachable: x0(s=0) = %g; the tunneling drain "
             "already exceeds generation at zero trapping" % (target_x0, lo)
         )
-    hi = x0_at(s_max)
+    hi = x0_at(_S_MAX)
     if hi > target_x0:
         raise SteadyStateError("target x0 = %g below x0(s=%g) = %g"
-                               % (target_x0, s_max, hi))
-    return brentq(lambda s: x0_at(s) - target_x0, 0.0, s_max, xtol=1e-10,
+                               % (target_x0, _S_MAX, hi))
+    return brentq(lambda s: x0_at(s) - target_x0, 0.0, _S_MAX, xtol=1e-10,
                   rtol=1e-12)

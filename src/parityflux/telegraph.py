@@ -378,13 +378,12 @@ def _window_flip_counts(samples, window):
     return flips[: n_win * window].reshape(n_win, window).sum(axis=1)
 
 
-def detect_bursts(trace: JumpTrace, window=200, threshold=8.0,
-                  baseline_rate=None):
+def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
     """Sliding-window flip-rate burst detector.
 
     The flip count per window is compared against threshold * baseline
-    (baseline = robust per-window flip count from the trace median over
-    coarse blocks unless given as a rate in 1/s).  An event needs two
+    (baseline = robust per-window flip count: the median over coarse blocks
+    of the per-window mean, which bursts barely move).  An event needs two
     consecutive windows above threshold (suppresses Poisson false alarms);
     events closer than one window are merged.  When cluster labels are
     present, an event is flagged ng_jump if the label mode changes across
@@ -395,17 +394,10 @@ def detect_bursts(trace: JumpTrace, window=200, threshold=8.0,
     counts = _window_flip_counts(trace.samples, window)
     if counts.size < 2:
         return []
-    if baseline_rate is None:
-        # median over coarse blocks of the per-window mean; robust to bursts
-        block = max(counts.size // 64, 16)
-        n_blocks = max(counts.size // block, 1)
-        means = counts[: n_blocks * block].reshape(n_blocks, block).mean(axis=1)
-        base_counts = float(np.median(means))
-    else:
-        # expected measured flips per window for a given hidden rate
-        p = 0.5 * (1.0 - math.exp(-2.0 * baseline_rate * trace.dt))
-        base_counts = p * window
-    base_counts = max(base_counts, 0.5 / window)
+    block = max(counts.size // 64, 16)
+    n_blocks = max(counts.size // block, 1)
+    means = counts[: n_blocks * block].reshape(n_blocks, block).mean(axis=1)
+    base_counts = max(float(np.median(means)), 0.5 / window)
     hot = counts > threshold * base_counts
     onset_wins = np.flatnonzero(hot[:-1] & hot[1:])
     events = []

@@ -66,11 +66,21 @@ def test_unknown_config_key_is_domain_error(tmp_path):
 
 
 def test_unknown_flag_usage_error(cfg, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["sweep", "--config", cfg, "--flux", "0:0.5:3",
-             "--out", str(tmp_path / "y.csv"), "--frobnicate", "1"])
-    assert exc.value.code == 2
-    assert "--frobnicate" in capsys.readouterr().err
+    out = str(tmp_path / "y.csv")
+    # the last three give a prefix of a flag, which is not that flag
+    for argv, flag in (
+            (["sweep", "--config", cfg, "--flux", "0:0.5:3", "--out", out,
+              "--frobnicate", "1"], "--frobnicate"),
+            (["make-synthetic", "--kind", "single", "--points", "5",
+              "--seed", "1", "--out", out], "--out"),
+            (["sweep", "--flux", "0:0.5:3", "--o", out], "--o"),
+            (["fit", "--data", out, "--bind", "f_P:per", "--init", "f_P=110",
+              "--lamp", "--out", out], "--lamp")):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_bad_flux_spec_usage_error(cfg, tmp_path, capsys):
@@ -209,6 +219,24 @@ def test_make_synthetic_and_fit(cfg, tmp_path, capsys):
     report = open(out).read()
     assert "pseudo_r2" in report and "f_P[" in report
     assert os.path.exists(str(tmp_path / "fit_syn_single_residuals.csv"))
+
+
+@pytest.mark.parametrize("bind, init", [
+    ("f_P:per", "f_P=nan"),
+    ("f_P:per", "f_P"),
+    ("n_bar:per", "f_P=110,nbar=2e-3"),
+    ("f_P:per", "f_P=110,S=2.81"),
+])
+def test_fit_bad_init_usage_error(cfg, tmp_path, capsys, bind, init):
+    data = tmp_path / "d.csv"
+    data.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n0.25,420,21\n")
+    out = str(tmp_path / "fit.txt")
+    assert run(["fit", "--config", cfg, "--data", str(data), "--bind", bind,
+                "--init", init, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --init ")
+    assert repr(init.split(",")[-1]) in err
+    assert not os.path.exists(out)
 
 
 def test_fit_data_fq_column(cfg, tmp_path):

@@ -95,9 +95,9 @@ def test_resonance_flux_in_band(fmap):
 
 def test_map_calibration_tolerance():
     with pytest.raises(ValueError):
-        FluxFrequencyMap(fq0=5.0, fq_half=3.5, d=0.6, calibration_tol=1e-9)
+        FluxFrequencyMap(fq0=5.0, fq_half=3.5, d=0.6)
     # explicit d consistent with endpoints passes
-    FluxFrequencyMap(fq0=5.0, fq_half=3.5, d=0.49, calibration_tol=1e-9)
+    FluxFrequencyMap(fq0=5.0, fq_half=3.5, d=0.49)
 
 
 def test_cooper_pair_number_anchor(device):

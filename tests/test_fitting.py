@@ -80,6 +80,14 @@ def test_lm_jacobian_check_smooth_problem():
     assert res.jacobian_check < 1e-3
 
 
+def test_lm_nan_start_is_outside_bounds():
+    resid, _ = _quad_residual()
+    with pytest.raises(ValueError, match="outside bounds"):
+        lm_least_squares(resid, np.array([np.nan, 1.0]),
+                         np.array([1e-3, 1e-3]), np.array([10.0, 10.0]),
+                         np.array([True, True]))
+
+
 def test_lm_degenerate_parameters_named():
     xdata = np.linspace(0, 1, 30)
     y = np.exp(-xdata)

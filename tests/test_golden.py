@@ -10,7 +10,7 @@ import pytest
 
 from parityflux import DeviceParams, FilmState, PhotonDrive
 from parityflux.fitting import thermal_nups_rate
-from parityflux.rates import (dilute_tables, paps_flux_profile,
+from parityflux.rates import (dilute_tables, flux_point, paps_flux_profile,
                               paps_unit_rates, rate_breakdown)
 from parityflux.spectrum import Junction
 from parityflux.steady_state import DynamicsParams, curve_point
@@ -69,9 +69,12 @@ CASES = {
         rho=(0.4, 0.6), model="reduced"),
     "dilute_tables_zero_flux": lambda: _tables(0.0, 4.844),
     "dilute_tables_resonance": lambda: _tables(0.145, 4.86),
+    # the second half was recorded with the face-value PAPS prefactor, which
+    # is the one in use times f_P/f_q
     "paps_unit_rates": lambda: _flat(
         paps_unit_rates(DeviceParams(), 0.0, 112.0),
-        paps_unit_rates(DeviceParams(), 0.3, 130.0, convention="derived")),
+        paps_unit_rates(DeviceParams(), 0.3, 130.0) * 130.0
+        / flux_point(DeviceParams(), 0.3).fq),
     "paps_flux_profile": lambda: _flat(
         paps_flux_profile(DeviceParams(), 112.0, [0.0, 0.25, 0.5],
                           rho=(0.4, 0.6))),

@@ -25,25 +25,21 @@ def films(device, x0=6.2e-9, x3=1e-10):
 
 
 def test_nups_prefactor_identity():
-    # 16 E_J/(pi hbar) evaluated in SI equals 32 f_EJ for the derived form
+    # 16 E_J/(pi h) evaluated in SI equals 32 f_EJ / 2 pi
     import scipy.constants as sc
     f_ej = 2.465  # GHz
-    si = 16.0 * (sc.h * f_ej * 1e9) / (math.pi * sc.hbar)
-    assert nups_prefactor_per_s(f_ej, "derived") == pytest.approx(si, rel=1e-12)
-    assert nups_prefactor_per_s(f_ej, "calibrated") == \
-        pytest.approx(si / (2 * math.pi), rel=1e-12)
-    with pytest.raises(ValueError):
-        nups_prefactor_per_s(f_ej, "bogus")
+    si = 16.0 * (sc.h * f_ej * 1e9) / (math.pi * sc.h)
+    assert nups_prefactor_per_s(f_ej) == pytest.approx(si, rel=1e-12)
 
 
 def test_paps_prefactor_conventions(device):
-    cal = paps_prefactor_per_s(device, 1.9e-3, 112.0, 5.06, "calibrated")
-    pr = paps_prefactor_per_s(device, 1.9e-3, 112.0, 5.06, "derived")
-    assert pr / cal == pytest.approx(112.0 / 5.06, rel=1e-12)
-    # derived convention with a fixed omega_q override
-    pr2 = paps_prefactor_per_s(device, 1.9e-3, 112.0, 4.0, "derived",
-                               omega_q=5.06)
-    assert pr2 == pytest.approx(pr, rel=1e-12)
+    # n_bar g^2 w_r / (pi w_P^2) in 1/s with frequencies in GHz
+    n_bar, f_p = 1.9e-3, 112.0
+    w = 2 * math.pi * 1e9
+    want = (n_bar * (w * device.g_coupling) ** 2 * (w * device.f_readout)
+            / (math.pi * (w * f_p) ** 2))
+    assert paps_prefactor_per_s(device, n_bar, f_p) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_photon_drive_invariants():
@@ -56,6 +52,12 @@ def test_photon_drive_invariants():
         PhotonDrive(f_p=100.0, n_bar=math.nan)
     with pytest.raises(ValueError, match="f_p must be finite"):
         PhotonDrive(f_p=math.nan, n_bar=0.0)
+
+
+def test_nups_unknown_direction_rejected(device):
+    left, right = films(device)
+    with pytest.raises(ValueError, match="'xy'"):
+        nups_rates(device, 0.1, left, right, direction="xy")
 
 
 def test_nups_zero_without_qps(device):
@@ -294,7 +296,7 @@ def test_grid_assembly_matches_per_transition_reference(device):
         assert np.array_equal(np.array(got), ref)
 
     low, high = film(True, -math.inf), film(False, -math.inf)
-    pref = np.reshape(paps_prefactor_per_s(device, 1.0, 112.0, fqs), (-1, 1, 1))
+    pref = paps_prefactor_per_s(device, 1.0, 112.0)
     ref = _reference_junction_sum(
         device, points,
         lambda i, j: sum(paps_integral_grid(
