@@ -256,17 +256,17 @@ def _read_data_csv(path, fmap):
 
 
 def _parse_bindings(spec):
+    """name:shared|per items of --bind, each name from FIT_PARAMETERS."""
     out = {}
     for item in spec.split(","):
         if not item:
             continue
-        try:
-            name, mode = item.split(":")
-        except ValueError:
-            raise UsageError("--bind items look like name:shared|per, got %r" % item)
+        name, _, mode = item.partition(":")
         name = {"f_p": "f_P"}.get(name.strip().lower(), name.strip())
-        if mode.strip() not in ("shared", "per"):
-            raise UsageError("binding mode for %r must be shared or per" % name)
+        if name not in FIT_PARAMETERS or mode.strip() not in ("shared", "per"):
+            raise UsageError("--bind items look like name:shared|per with a "
+                             "name among %s, got %r"
+                             % (", ".join(FIT_PARAMETERS), item))
         out[name] = mode.strip()
     return out
 
@@ -290,7 +290,7 @@ def _parse_init(spec, bindings):
                              % (", ".join(FIT_PARAMETERS), item))
         out[name] = value
     for name in bindings:
-        if name in FIT_PARAMETERS and name not in out:
+        if name not in out:
             raise UsageError("--init needs a value for the bound parameter %r"
                              % name)
     return out
@@ -310,11 +310,11 @@ def cmd_fit(args):
     if args.staged:
         if not args.lamp_mode:
             raise UsageError("--staged applies to --lamp-mode series fits")
-        result = fit_lamp_series(datasets, params=params)
+        result = fit_lamp_series(datasets, params=params, n_g=args.ng)
     else:
         problem = FitProblem(datasets=datasets, free=tuple(bindings),
                              bindings=bindings, fixed=fixed,
-                             lamp_mode=args.lamp_mode)
+                             lamp_mode=args.lamp_mode, n_g=args.ng)
         result = fit(problem, init, params=params)
     lines = _manifest_lines("fit", args, args.config, cfg_vals,
                             data_paths=args.data)
@@ -340,7 +340,8 @@ def cmd_thermal_fit(args):
     params, fmap, dyn_cfg, cfg_vals = _load_device(args)
     data = [tuple(_row_values(args.data, row, (0, 1)))
             for row in _read_table(args.data)[1]]
-    gap_mean, extra, res = fit_thermal(data, params, mode=args.mode)
+    gap_mean, extra, res = fit_thermal(data, params, mode=args.mode,
+                                       n_g=args.ng)
     lines = _manifest_lines("thermal-fit", args, args.config, cfg_vals,
                             data_paths=[args.data])
     lines.append("mode = %s" % args.mode)

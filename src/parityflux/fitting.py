@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import thermal_energy_ghz
-from .device import DeviceParams
+from .device import DeviceParams, require_finite
 from .quadrature import adaptive_quad
 from .rates import (DEFAULT_NG, dilute_tables_grid, flux_point,
                     nups_rates, paps_unit_grid, rho_weighted)
@@ -38,6 +38,12 @@ _LM_REL_STEP = 1e-4  # relative finite-difference step
 _LM_MAX_ITER = 200
 _LM_FTOL = 1e-10     # relative cost improvement that counts as a stall
 _LM_XTOL = 1e-10     # relative step size that ends the loop
+
+# fit_lamp_series: the background prefit's start, the (s, g_other) held in
+# the prefits, and the trapping rates of the conditional scan
+_LAMP_PRE_INIT = dict(f_P=115.0, n_bar=2.5e-3, gap_diff=4.88)
+_LAMP_PRE_FIXED = dict(s=8.0, g_other=4e-8)
+_LAMP_S_GRID = (3.0, 5.5, 8.0, 11.0, 16.0, 24.0, 40.0)
 
 DEFAULT_BOUNDS = {
     "f_P": (104.5, 400.0),
@@ -232,20 +238,25 @@ class FitProblem:
     bindings maps each free name to "shared" or "per".  In lamp_mode the
     first dataset is the background; later datasets add their own photon
     mode on top of the background drive (per-dataset f_P/n_bar then refer to
-    the added mode).
+    the added mode).  Dataset labels name the fitted slots, so they must be
+    distinct.  The model is the full four-film balance with the qubit in
+    either state with probability 1/2, and the box bounds are
+    DEFAULT_BOUNDS.
     """
 
     datasets: list
     free: tuple
     bindings: dict
     fixed: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
     lamp_mode: bool = False
-    rho: tuple = (0.5, 0.5)
     n_g: float = DEFAULT_NG
-    model: str = "full"
 
     def __post_init__(self):
+        labels = [ds.label for ds in self.datasets]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError("dataset label %r is used more than once"
+                                 % label)
         for name in self.free:
             if name not in FIT_PARAMETERS:
                 raise ValueError("unknown fit parameter %r" % name)
@@ -285,43 +296,38 @@ class FitResult:
 class GammaModel:
     """Evaluates the self-consistent Gamma(Phi) model for a FitProblem.
 
-    Diagonalization products are computed once per dataset grid; the dilute
-    NUPS tables are memoized on gap_diff and the unit PAPS grids on
-    (gap_diff, f_P), so damping steps that only move n_bar, s or g_other cost
-    no quadrature at all.  Each evaluation sums the photon modes' Gamma_P,
-    solves the density balance per flux point (steady_state.balance_curve)
-    and returns the rho-weighted Gamma_N + Gamma_P; it never computes
-    chemical potentials.
+    Everything the quadratures depend on is memoized on the flux grid, so
+    datasets that share a grid share the work: its flux points are
+    diagonalized once, its dilute NUPS tables are computed once per
+    gap_diff and its unit PAPS grids once per (gap_diff, f_P).  Damping
+    steps that only move n_bar, s or g_other cost no quadrature at all.
+    Each evaluation sums the photon modes' Gamma_P, solves the density
+    balance of all of a dataset's flux points in one batched call
+    (steady_state.balance_curve) and returns the rho-weighted
+    Gamma_N + Gamma_P at rho = (1/2, 1/2); it never computes chemical
+    potentials.
     """
 
     def __init__(self, problem: FitProblem, params: DeviceParams,
-                 r=1.0 / 120e-9, rtol=_FIT_RTOL):
+                 r=1.0 / 120e-9):
         self.problem = problem
         self.base = params
         self.r = r
-        self.rtol = rtol
-        self.points = [
-            [flux_point(params, float(p), problem.n_g) for p in ds.phi]
-            for ds in problem.datasets
-        ]
-        self._nups_cache = {}
-        self._paps_cache = {}
+        self.grids = [tuple(map(float, ds.phi)) for ds in problem.datasets]
+        self.points = {grid: [flux_point(params, p, problem.n_g) for p in grid]
+                       for grid in dict.fromkeys(self.grids)}
+        self._memo = {}
 
-    def _tables(self, gap_diff, ds_idx):
-        key = (round(float(gap_diff), 10), ds_idx)
-        if key not in self._nups_cache:
-            params = self.base.with_(gap_diff=float(gap_diff))
-            self._nups_cache[key] = dilute_tables_grid(
-                params, self.points[ds_idx], self.rtol)
-        return self._nups_cache[key]
-
-    def _paps_units(self, gap_diff, f_p, ds_idx):
-        key = (round(float(gap_diff), 10), round(float(f_p), 10), ds_idx)
-        if key not in self._paps_cache:
-            params = self.base.with_(gap_diff=float(gap_diff))
-            self._paps_cache[key] = paps_unit_grid(
-                params, self.points[ds_idx], float(f_p), self.rtol)
-        return self._paps_cache[key]
+    def _on_grid(self, compute, grid, gap_diff, *args):
+        """compute(params, points, *args, rtol) on a grid, memoized on the
+        grid and on gap_diff and args rounded to 10 decimals."""
+        key = (compute, grid) + tuple(round(float(v), 10)
+                                      for v in (gap_diff,) + args)
+        if key not in self._memo:
+            self._memo[key] = compute(
+                self.base.with_(gap_diff=float(gap_diff)), self.points[grid],
+                *map(float, args), _FIT_RTOL)
+        return self._memo[key]
 
     def dataset_values(self, vector):
         """Slot vector -> list of per-dataset parameter dicts.
@@ -329,14 +335,10 @@ class GammaModel:
         Fixed entries may be scalars (broadcast) or sequences with one value
         per dataset.
         """
-        slots = self.problem.layout()
-        per = []
-        for k in range(len(self.problem.datasets)):
-            d = {}
-            for name, val in self.problem.fixed.items():
-                d[name] = float(val[k]) if np.ndim(val) else float(val)
-            per.append(d)
-        for (name, ds), val in zip(slots, vector):
+        per = [{name: float(val[k]) if np.ndim(val) else float(val)
+                for name, val in self.problem.fixed.items()}
+               for k in range(len(self.problem.datasets))]
+        for (name, ds), val in zip(self.problem.layout(), vector):
             if ds is None:
                 for d in per:
                     d[name] = float(val)
@@ -347,23 +349,21 @@ class GammaModel:
     def evaluate(self, vector):
         """Model Gamma arrays for every dataset at a slot vector."""
         per = self.dataset_values(vector)
-        rho = self.problem.rho
+        rho = (0.5, 0.5)
         out = []
-        for ds_idx, vals in enumerate(per):
+        for ds_idx, (vals, grid) in enumerate(zip(per, self.grids)):
             gap_diff = vals.get("gap_diff", self.base.gap_diff)
             params = self.base.with_(gap_diff=float(gap_diff))
             dyn = DynamicsParams(s=vals.get("s", 0.0), r=self.r,
                                  g_other=vals.get("g_other", 0.0))
-            modes = []
-            if self.problem.lamp_mode and ds_idx > 0:
-                bg = per[0]
-                modes.append((bg["f_P"], bg["n_bar"]))
-            modes.append((vals["f_P"], vals["n_bar"]))
-            gamma_p = sum(nb * self._paps_units(gap_diff, fp, ds_idx)
-                          for fp, nb in modes)
-            solved = balance_curve(params, dyn, self._tables(gap_diff, ds_idx),
-                                   gamma_p, rho, self.problem.model)
-            gamma_n = np.array([gn for _, _, gn in solved])
+            # a lamp dataset's mode adds to the background dataset's mode
+            modes = [per[0], vals] if self.problem.lamp_mode and ds_idx else [vals]
+            gamma_p = sum(m["n_bar"] * self._on_grid(paps_unit_grid, grid,
+                                                     gap_diff, m["f_P"])
+                          for m in modes)
+            _, _, gamma_n = balance_curve(
+                params, dyn, self._on_grid(dilute_tables_grid, grid, gap_diff),
+                gamma_p, rho, "full")
             out.append(rho_weighted(gamma_p, rho) + rho_weighted(gamma_n, rho))
         return out
 
@@ -394,8 +394,8 @@ def fit(problem: FitProblem, init, params: DeviceParams = None,
         return float(v[ds if ds is not None else 0])
 
     x0 = np.array([init_value(n, d) for n, d in slots])
-    lower = np.array([problem.bounds.get(n, DEFAULT_BOUNDS[n])[0] for n, _ in slots])
-    upper = np.array([problem.bounds.get(n, DEFAULT_BOUNDS[n])[1] for n, _ in slots])
+    lower = np.array([DEFAULT_BOUNDS[n][0] for n, _ in slots])
+    upper = np.array([DEFAULT_BOUNDS[n][1] for n, _ in slots])
     log_mask = np.array([n in _LOG_SCALED for n, _ in slots])
 
     res = lm_least_squares(model.residuals, x0, lower, upper, log_mask,
@@ -431,53 +431,53 @@ def pseudo_r2(model_curves, datasets):
     return total / len(datasets)
 
 
-def fit_lamp_series(datasets, params: DeviceParams = None,
-                    s_grid=(3.0, 5.5, 8.0, 11.0, 16.0, 24.0, 40.0),
-                    pre_init=None, r=1.0 / 120e-9):
+def fit_lamp_series(datasets, params: DeviceParams = None, n_g=DEFAULT_NG):
     """Staged shared-parameter fit of a background + lamp-power dataset series.
 
     The direct 11-parameter problem (per-dataset f_P/n_bar, shared s,
     g_other, gap_diff) is multimodal in the trapping/generation plane, so
     the fit proceeds in stages: (0) the background dataset alone pins its
-    photon mode and the gap difference; (0b) each lamp dataset pins its
-    added mode on top of the background; (1) a conditional scan over a
-    fixed trapping-rate grid (the goodness-of-fit profile machinery) finds
-    the right basin; (2) all eleven parameters are released jointly from the
-    best conditional point.  Returns the final FitResult.
+    photon mode and the gap difference (from _LAMP_PRE_INIT, with
+    _LAMP_PRE_FIXED held); (0b) each lamp dataset pins its added mode on top
+    of the background; (1) a conditional scan over the trapping rates
+    _LAMP_S_GRID (the goodness-of-fit profile machinery) finds the right
+    basin; (2) all eleven parameters are released jointly from the best
+    conditional point.  Returns the final FitResult.
     """
     params = params or DeviceParams()
-    pre_init = pre_init or dict(f_P=115.0, n_bar=2.5e-3, gap_diff=4.88,
-                                s=8.0, g_other=4e-8)
     labels = [ds.label for ds in datasets]
+    # the final problem is built first, so bad labels fail before any fit
+    prob = FitProblem(datasets=datasets,
+                      free=("f_P", "n_bar", "s", "g_other", "gap_diff"),
+                      bindings={"f_P": "per", "n_bar": "per", "s": "shared",
+                                "g_other": "shared", "gap_diff": "shared"},
+                      fixed={}, lamp_mode=True, n_g=n_g)
     pre = FitProblem(datasets=[datasets[0]], free=("f_P", "n_bar", "gap_diff"),
                      bindings={"f_P": "per", "n_bar": "per",
                                "gap_diff": "shared"},
-                     fixed={"s": pre_init["s"], "g_other": pre_init["g_other"]})
-    p0 = fit(pre, dict(f_P=pre_init["f_P"], n_bar=pre_init["n_bar"],
-                       gap_diff=pre_init["gap_diff"]), params=params, r=r)
+                     fixed=_LAMP_PRE_FIXED, n_g=n_g)
+    p0 = fit(pre, _LAMP_PRE_INIT, params=params)
     fp = [p0.values["f_P[%s]" % labels[0]]]
     nb = [p0.values["n_bar[%s]" % labels[0]]]
     dd = p0.values["gap_diff[shared]"]
     for ds in datasets[1:]:
         prek = FitProblem(datasets=[datasets[0], ds], free=("f_P", "n_bar"),
                           bindings={"f_P": "per", "n_bar": "per"},
-                          fixed={"s": pre_init["s"],
-                                 "g_other": pre_init["g_other"],
-                                 "gap_diff": dd},
-                          lamp_mode=True)
+                          fixed=dict(_LAMP_PRE_FIXED, gap_diff=dd),
+                          lamp_mode=True, n_g=n_g)
         pk = fit(prek, dict(f_P=[fp[0], fp[0] + 8.0],
-                            n_bar=[nb[0], 3.0 * nb[0]]), params=params, r=r)
+                            n_bar=[nb[0], 3.0 * nb[0]]), params=params)
         fp.append(pk.values["f_P[%s]" % ds.label])
         nb.append(pk.values["n_bar[%s]" % ds.label])
     best = None
-    for s_fix in s_grid:
+    for s_fix in _LAMP_S_GRID:
         prob1 = FitProblem(datasets=datasets, free=("n_bar", "g_other"),
                            bindings={"n_bar": "per", "g_other": "shared"},
                            fixed={"s": s_fix, "gap_diff": dd, "f_P": fp},
-                           lamp_mode=True)
+                           lamp_mode=True, n_g=n_g)
         try:
-            r1 = fit(prob1, dict(n_bar=nb, g_other=pre_init["g_other"]),
-                     params=params, r=r)
+            r1 = fit(prob1, dict(n_bar=nb, g_other=_LAMP_PRE_FIXED["g_other"]),
+                     params=params)
         except DegenerateFitError:
             continue
         cost1 = float(sum(np.sum(rr**2) for rr in r1.residuals))
@@ -486,14 +486,9 @@ def fit_lamp_series(datasets, params: DeviceParams = None,
             best = (cost1, s_fix, r1.values["g_other[shared]"], nb1)
     if best is None:
         raise DegenerateFitError(["s", "g_other"])
-    prob = FitProblem(datasets=datasets,
-                      free=("f_P", "n_bar", "s", "g_other", "gap_diff"),
-                      bindings={"f_P": "per", "n_bar": "per", "s": "shared",
-                                "g_other": "shared", "gap_diff": "shared"},
-                      fixed={}, lamp_mode=True)
     init = dict(f_P=fp, n_bar=best[3], s=best[1], g_other=best[2],
                 gap_diff=dd)
-    return fit(prob, init, params=params, r=r)
+    return fit(prob, init, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +596,11 @@ class LampTheta:
     t_mc: float = 0.03    # K
     a: float = 1.0        # rate per band-power unit
     b: float = 0.0        # background rate (1/s)
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.t_mc <= 0:
+            raise ValueError("t_mc must be positive, got %r" % self.t_mc)
 
 
 def lamp_temperature(p_lamp_uw, theta: LampTheta):

@@ -78,9 +78,6 @@ class FluxPoint:
 
 
 def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG):
-    for name, value in (("phi", phi), ("n_g", n_g)):
-        if not math.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
     sectors = solve_sectors(params, phi, n_g)
     mels = {j: sectors.matrix_elements(j) for j in (Junction.J1, Junction.J2)}
     return FluxPoint(phi=phi, n_g=n_g, fq=sectors.spectrum().fq_mean, mels=mels)
@@ -266,23 +263,25 @@ def rate_breakdown(params: DeviceParams, phi, left: FilmState, right: FilmState,
 
 @dataclass(frozen=True)
 class DiluteTables:
-    """Per-flux dilute NUPS channel rates at mu = 0, junction-summed.
+    """Dilute NUPS channel rates at mu = 0, junction-summed, at K points.
 
-    lr[i, j] (rl[i, j]) is the i->j rate with the low-gap (high-gap) side
-    occupied at mu = 0, Maxwell-Boltzmann occupations, no Pauli blocking.
-    Rates at any chemical potentials follow by scaling with x/x_ref because
-    the occupied-side weight is exactly exponential in mu in this regime.
+    lr[k, i, j] (rl[k, i, j]) is the i->j rate at points[k] with the low-gap
+    (high-gap) side occupied at mu = 0, Maxwell-Boltzmann occupations, no
+    Pauli blocking.  Rates at any chemical potentials follow by scaling with
+    x/x_ref because the occupied-side weight is exactly exponential in mu in
+    this regime; gamma_n and per_qp map K-vectors to K results.
     """
 
-    point: FluxPoint
-    lr: np.ndarray
-    rl: np.ndarray
+    points: list      # K FluxPoints
+    lr: np.ndarray    # (K, 2, 2)
+    rl: np.ndarray    # (K, 2, 2)
     x_ref: float      # thermal reduced density of the low-gap film at mu=0
     eta: float        # gap_diff / kT
 
     def gamma_n(self, x0, x2):
-        """Junction-summed 2x2 NUPS matrix at densities (x0, x2)."""
-        return self.lr * (x0 / self.x_ref) + self.rl * (x2 / self.x_ref)
+        """Junction-summed (K, 2, 2) NUPS matrices at densities (x0, x2)."""
+        return (self.lr * (x0 / self.x_ref)[:, None, None]
+                + self.rl * (x2 / self.x_ref)[:, None, None])
 
     def per_qp(self, rho, n_cp_low, direction):
         if direction == "low_to_high":
@@ -295,7 +294,7 @@ def dilute_tables(params: DeviceParams, phi, n_g=DEFAULT_NG, rtol=1e-8,
                   point=None):
     """Dilute NUPS rate tables at one flux point: dilute_tables_grid at K = 1."""
     point = point or flux_point(params, phi, n_g)
-    return dilute_tables_grid(params, [point], rtol)[0]
+    return dilute_tables_grid(params, [point], rtol)
 
 
 def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8):
@@ -312,8 +311,7 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8):
     x_ref = xqp_from_mu(params.gap_low, params.t_ph, 0.0, params.dynes,
                         rtol=1e-10)
     eta = params.gap_diff / thermal_energy_ghz(params.t_ph)
-    return [DiluteTables(point=pt, lr=lr[k], rl=rl[k], x_ref=x_ref, eta=eta)
-            for k, pt in enumerate(points)]
+    return DiluteTables(points=points, lr=lr, rl=rl, x_ref=x_ref, eta=eta)
 
 
 def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8):
@@ -326,7 +324,7 @@ def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8):
 
 
 def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
-                     n_g=DEFAULT_NG, rho=(0.5, 0.5), rtol=1e-8, tables=None):
+                     n_g=DEFAULT_NG, rho=(0.5, 0.5), rtol=1e-8):
     """Directional per-QP tunneling rate (1/s per QP) in the dilute limit.
 
     low_to_high normalizes by the QP number on the low-gap side; the reverse
@@ -335,17 +333,15 @@ def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
     """
     if direction not in ("low_to_high", "high_to_low"):
         raise ValueError("direction must be 'low_to_high' or 'high_to_low'")
-    tables = tables or dilute_tables(params, phi, n_g, rtol)
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low, params.dos_fermi)
-    return tables.per_qp(rho, n_cp_low, direction)
+    return dilute_tables(params, phi, n_g, rtol).per_qp(rho, n_cp_low,
+                                                        direction)[0]
 
 
-def paps_unit_rates(params: DeviceParams, phi, f_p, n_g=DEFAULT_NG, rtol=1e-8,
-                    point=None):
+def paps_unit_rates(params: DeviceParams, phi, f_p, n_g=DEFAULT_NG, rtol=1e-8):
     """Junction-summed 2x2 PAPS matrix per unit mode occupation (dilute):
     paps_unit_grid at K = 1."""
-    point = point or flux_point(params, phi, n_g)
-    return paps_unit_grid(params, [point], f_p, rtol)[0]
+    return paps_unit_grid(params, [flux_point(params, phi, n_g)], f_p, rtol)[0]
 
 
 # ---------------------------------------------------------------------------

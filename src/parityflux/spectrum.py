@@ -160,6 +160,9 @@ def solve_sectors(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,
                   check_convergence=False, flux_on_j2=False):
     """One eigensystem call per parity sector; check_convergence applies to
     the even sector."""
+    for name, value in (("phi", phi), ("n_g", n_g)):
+        if not math.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     we, ve = eigensystem(params, phi, n_g, n_trunc, check_convergence,
                          flux_on_j2)
     wo, vo = eigensystem(params, phi, n_g - 0.5, n_trunc, False, flux_on_j2)

@@ -14,11 +14,12 @@ by pair-breaking photons, g_P = Gamma_P/N_CP, couples the photon drive into
 the densities; the per-QP tunneling rates gamma03/gamma30 carry the
 qubit-state-weighted measurement pumping.
 
-One loop, ``balance_curve``, solves this balance at every flux point from
-the per-point dilute NUPS tables and Gamma_P matrices.  ``gamma_curve``
-adds the chemical potentials (QPState) to its output, ``curve_point`` is
-that curve at one flux point, and the fit model sums the rho-weighted
-totals without building a QPState.
+``solve_balance`` is one batched Newton solve over K points that share
+the dynamics and eta; a scalar solve is K = 1.  ``balance_curve`` feeds it
+a DiluteTables batch and the points' Gamma_P matrices in a single call.
+``gamma_curve`` adds the chemical potentials (QPState) to its output,
+``curve_point`` is that curve at one flux point, and the fit model sums the
+rho-weighted totals without building a QPState.
 """
 
 import math
@@ -81,20 +82,26 @@ def _qp_state(params: DeviceParams, x0, x2, eta):
 
 
 def _decoupled_root(g, lin, quad):
-    """Positive root of g - lin*x - quad*x^2 = 0 (quad may be 0)."""
+    """Positive roots of g - lin*x - quad*x^2 = 0 for K-vectors g and lin
+    and a scalar quad (which may be 0)."""
     if quad == 0.0:
-        return g / lin if lin > 0 else 0.0
-    return (-lin + math.sqrt(lin * lin + 4.0 * quad * g)) / (2.0 * quad)
+        pos = lin > 0
+        return np.where(pos, g / np.where(pos, lin, 1.0), 0.0)
+    return (-lin + np.sqrt(lin * lin + 4.0 * quad * g)) / (2.0 * quad)
 
 
 def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
                   model="full"):
-    """Newton solve of the two-density balance; returns (x0, x2).
+    """Newton solve of the two-density balance at K points sharing ``dyn``,
+    ``eta`` and ``model``; g_per_side, gamma03 and gamma30 are K-vectors (a
+    scalar is K = 1).  Returns the arrays (x0, x2).
 
-    The system is quadratic so the analytic Jacobian Newton iteration from
-    the decoupled roots converges in a handful of steps.  Raises
-    SteadyStateError when no finite nonnegative root exists (e.g. generation
-    without any loss channel).
+    The system is quadratic, so the analytic-Jacobian Newton iteration from
+    the decoupled roots converges in a handful of steps.  Each point keeps
+    its first converged iterate and halves its own step into the physical
+    quadrant.  Raises SteadyStateError when any point has no finite
+    nonnegative root (e.g. generation without any loss channel), a singular
+    Jacobian, or does not converge.
     """
     if model not in ("full", "reduced"):
         raise ValueError("model must be 'full' or 'reduced'")
@@ -103,76 +110,86 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
     b = 1.0 + em * em if model == "full" else 1.0
     s_eff = a * dyn.s
     r_eff = b * dyn.r
-    t30 = gamma30 * em
-    if g_per_side > 0 and s_eff == 0 and r_eff == 0 and gamma03 == 0 and t30 == 0:
+    g, g03, g30 = (np.array(v, dtype=float, ndmin=1)
+                   for v in (g_per_side, gamma03, gamma30))
+    t30 = g30 * em
+    x0 = _decoupled_root(g, s_eff + g03, r_eff)
+    x2 = _decoupled_root(g, s_eff + t30, r_eff)
+    lossless = s_eff == r_eff == 0 and np.any((g > 0) & (g03 == 0) & (t30 == 0))
+    if lossless or not (np.isfinite(x0).all() and np.isfinite(x2).all()):
         raise SteadyStateError("generation with no loss channel: density diverges")
 
-    x0 = _decoupled_root(g_per_side, s_eff + gamma03, r_eff)
-    x2 = _decoupled_root(g_per_side, s_eff + t30, r_eff)
-    if not (np.isfinite(x0) and np.isfinite(x2)):
-        raise SteadyStateError("generation with no loss channel: density diverges")
-
-    def residuals(x0, x2):
-        f0 = g_per_side - s_eff * x0 - r_eff * x0 * x0 - gamma03 * x0 + t30 * x2
-        f2 = g_per_side - s_eff * x2 - r_eff * x2 * x2 + gamma03 * x0 - t30 * x2
-        return f0, f2
-
-    for _ in range(_NEWTON_STEPS):
-        f0, f2 = residuals(x0, x2)
-        scale = max(g_per_side, s_eff * max(x0, x2), r_eff * max(x0, x2) ** 2,
-                    gamma03 * x0, t30 * x2, 1e-300)
-        if max(abs(f0), abs(f2)) < 1e-12 * scale:
-            return x0, x2
-        j00 = -s_eff - 2.0 * r_eff * x0 - gamma03
-        j02 = t30
-        j20 = gamma03
-        j22 = -s_eff - 2.0 * r_eff * x2 - t30
-        det = j00 * j22 - j02 * j20
-        if det == 0.0 or not np.isfinite(det):
+    # working copies of the points still iterating; idx maps them to K
+    idx = np.arange(g.size)
+    y0, y2, gl, c03, c30 = x0, x2, g, g03, t30
+    for newton_step in range(_NEWTON_STEPS + 1):
+        a03, a30 = c03 * y0, c30 * y2
+        f0 = gl - s_eff * y0 - r_eff * y0 * y0 - a03 + a30
+        f2 = gl - s_eff * y2 - r_eff * y2 * y2 + a03 - a30
+        res = np.maximum(np.abs(f0), np.abs(f2))
+        if newton_step == _NEWTON_STEPS:
+            raise SteadyStateError(
+                "density balance did not converge in %d Newton steps"
+                % _NEWTON_STEPS, residual=res[0])
+        ym = np.maximum(y0, y2)
+        scale = np.maximum(np.maximum(np.maximum(gl, s_eff * ym),
+                                      np.maximum(r_eff * (ym * ym), a03)),
+                           np.maximum(a30, 1e-300))
+        # np.count_nonzero is several times faster than .any() on short arrays
+        done = res < 1e-12 * scale
+        n_done = np.count_nonzero(done)
+        if n_done:
+            x0[idx[done]], x2[idx[done]] = y0[done], y2[done]
+            if n_done == y0.size:
+                return x0, x2
+            live = ~done
+            idx, y0, y2, gl, c03, c30, f0, f2, res = (
+                v[live] for v in (idx, y0, y2, gl, c03, c30, f0, f2, res))
+        j00 = -s_eff - 2.0 * r_eff * y0 - c03
+        j22 = -s_eff - 2.0 * r_eff * y2 - c30
+        det = j00 * j22 - c30 * c03
+        singular = (det == 0.0) | ~np.isfinite(det)
+        if np.count_nonzero(singular):
             raise SteadyStateError("singular Jacobian in density balance",
-                                   residual=max(abs(f0), abs(f2)))
-        dx0 = (-f0 * j22 + f2 * j02) / det
-        dx2 = (-j00 * f2 + j20 * f0) / det
-        step = 1.0
-        # keep the iterate in the physical quadrant
-        while (x0 + step * dx0 < 0 or x2 + step * dx2 < 0) and step > 1e-6:
-            step *= 0.5
-        x0 += step * dx0
-        x2 += step * dx2
-    f0, f2 = residuals(x0, x2)
-    raise SteadyStateError(
-        "density balance did not converge in %d Newton steps" % _NEWTON_STEPS,
-        residual=max(abs(f0), abs(f2)),
-    )
+                                   residual=res[singular.argmax()])
+        # the same bits as (-f0 j22 + f2 j02) / det and (-j00 f2 + j20 f0) / det
+        dx0 = (f2 * c30 - f0 * j22) / det
+        dx2 = (c03 * f0 - j00 * f2) / det
+        n0, n2 = y0 + dx0, y2 + dx2
+        # keep every iterate in the physical quadrant: halve per point
+        out = np.minimum(n0, n2) < 0
+        if np.count_nonzero(out):
+            step = np.ones(y0.size)
+            while np.count_nonzero(out):
+                step[out] *= 0.5
+                out = (((y0 + step * dx0 < 0) | (y2 + step * dx2 < 0))
+                       & (step > 1e-6))
+            n0, n2 = y0 + step * dx0, y2 + step * dx2
+        y0, y2 = n0, n2
 
 
 def steady_state(params: DeviceParams, dyn: DynamicsParams, phi, drive,
-                 rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
-                 tables=None):
+                 rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8):
     """Steady-state QP densities at one flux point."""
-    return curve_point(params, dyn, phi, drive, rho, n_g, model, rtol,
-                       tables=tables).state
+    return curve_point(params, dyn, phi, drive, rho, n_g, model, rtol).state
 
 
 def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
                   rho, model):
-    """Density balance at each flux point; returns [(x0, x2, Gamma_N), ...].
+    """One solve_balance over the K points of a DiluteTables batch and their
+    junction-summed (K, 2, 2) ``gamma_p``; returns the arrays (x0, x2,
+    Gamma_N) of shapes (K,), (K,) and (K, 2, 2).
 
-    ``tables`` are the points' DiluteTables and ``gamma_p`` their
-    junction-summed 2x2 Gamma_P matrices.  Generation per side is
-    rho-weighted Gamma_P per Cooper pair plus g_other; the per-QP tunneling
-    rates come from the tables, and Gamma_N from the solved densities.
+    Generation per side is rho-weighted Gamma_P per Cooper pair plus
+    g_other; the per-QP tunneling rates and Gamma_N come from the tables.
     """
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
                                   params.dos_fermi)
-    out = []
-    for tab, gp in zip(tables, gamma_p):
-        x0, x2 = solve_balance(rho_weighted(gp, rho) / n_cp_low + dyn.g_other,
-                               dyn, tab.per_qp(rho, n_cp_low, "low_to_high"),
-                               tab.per_qp(rho, n_cp_low, "high_to_low"),
-                               tab.eta, model)
-        out.append((x0, x2, tab.gamma_n(x0, x2)))
-    return out
+    x0, x2 = solve_balance(rho_weighted(gamma_p, rho) / n_cp_low + dyn.g_other,
+                           dyn, tables.per_qp(rho, n_cp_low, "low_to_high"),
+                           tables.per_qp(rho, n_cp_low, "high_to_low"),
+                           tables.eta, model)
+    return x0, x2, tables.gamma_n(x0, x2)
 
 
 @dataclass
@@ -187,10 +204,9 @@ class CurvePoint(ChannelTotals):
     rho: tuple
 
 
-def _gamma_p(params, tables, drive, rtol):
-    """Junction-summed 2x2 Gamma_P at the flux points of ``tables``; one
+def _gamma_p(params, points, drive, rtol):
+    """Junction-summed (K, 2, 2) Gamma_P at the K flux ``points``; one
     batched paps_unit_grid per occupied mode."""
-    points = [tab.point for tab in tables]
     gamma_p = np.zeros((len(points), 2, 2))
     for mode in _drive_list(drive):
         if mode.n_bar > 0:
@@ -199,23 +215,10 @@ def _gamma_p(params, tables, drive, rtol):
     return gamma_p
 
 
-def _curve_points(params, dyn, tables, drive, rho, model, rtol):
-    """CurvePoints for the flux points of ``tables`` (batched PAPS)."""
-    gamma_p = _gamma_p(params, tables, drive, rtol)
-    solved = balance_curve(params, dyn, tables, gamma_p, rho, model)
-    return [CurvePoint(phi=tab.point.phi, fq=tab.point.fq,
-                       state=_qp_state(params, x0, x2, tab.eta),
-                       gamma_n=gn, gamma_p=gp, rho=tuple(rho))
-            for tab, gp, (x0, x2, gn) in zip(tables, gamma_p, solved)]
-
-
 def curve_point(params: DeviceParams, dyn: DynamicsParams, phi, drive,
-                rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8,
-                tables=None):
-    """Model curve at one flux point (K = 1); ``tables`` reuses its dilute
-    NUPS tables across calls."""
-    tables = tables or dilute_tables(params, phi, n_g, rtol)
-    return _curve_points(params, dyn, [tables], drive, rho, model, rtol)[0]
+                rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8):
+    """Model curve at one flux point: gamma_curve at K = 1."""
+    return gamma_curve(params, dyn, drive, [phi], rho, n_g, model, rtol)[0]
 
 
 def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
@@ -223,12 +226,18 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     """Model curve over a flux grid; returns a list of CurvePoint.
 
     The structure-factor tables for the whole grid are evaluated in batched
-    quadrature passes; each flux point then costs only the Newton solve.
+    quadrature passes and the density balance in one batched Newton solve;
+    only the chemical potentials are computed per flux point.
     """
     points = [flux_point(params, float(p), n_g)
               for p in np.asarray(flux_grid, dtype=float)]
     tables = dilute_tables_grid(params, points, rtol)
-    return _curve_points(params, dyn, tables, drive, rho, model, rtol)
+    gamma_p = _gamma_p(params, points, drive, rtol)
+    x0, x2, gamma_n = balance_curve(params, dyn, tables, gamma_p, rho, model)
+    return [CurvePoint(phi=pt.phi, fq=pt.fq,
+                       state=_qp_state(params, x0[k], x2[k], tables.eta),
+                       gamma_n=gamma_n[k], gamma_p=gamma_p[k], rho=tuple(rho))
+            for k, pt in enumerate(points)]
 
 
 def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,
@@ -243,8 +252,8 @@ def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,
     """
     from scipy.optimize import brentq
 
-    tables = [dilute_tables(params, phi, n_g, rtol)]
-    gamma_p = _gamma_p(params, tables, drive, rtol)
+    tables = dilute_tables(params, phi, n_g, rtol)
+    gamma_p = _gamma_p(params, tables.points, drive, rtol)
 
     def x0_at(s):
         dyn = DynamicsParams(s=s, r=r, g_other=g_other)

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from parityflux.cli import main
@@ -125,6 +126,11 @@ def test_non_finite_config_and_density_are_domain_errors(tmp_path, capsys):
     assert "x_qp must be finite" in capsys.readouterr().err
     assert run(["steady-state", "--phi", "nan", "--out", out]) == 1
     assert "phi must be finite" in capsys.readouterr().err
+    assert run(["spectrum", "--flux", "0:0.5:3", "--ng", "nan",
+                "--out", out]) == 1
+    assert "n_g must be finite" in capsys.readouterr().err
+    assert run(["spectrum", "--flux", "nan:0.5:3", "--out", out]) == 1
+    assert "phi must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -239,6 +245,85 @@ def test_fit_bad_init_usage_error(cfg, tmp_path, capsys, bind, init):
     assert not os.path.exists(out)
 
 
+def test_fit_unknown_bind_name_usage_error(cfg, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n0.25,420,21\n")
+    out = str(tmp_path / "fit.txt")
+    assert run(["fit", "--config", cfg, "--data", str(data),
+                "--bind", "f_P:per,nbar:per", "--init", "f_P=110",
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --bind ")
+    assert "'nbar:per'" in err
+    assert not os.path.exists(out)
+
+
+def test_fit_duplicate_dataset_labels_domain_error(cfg, tmp_path, capsys):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        path = tmp_path / sub / "syn.csv"
+        path.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n"
+                        "0.25,420,21\n")
+        paths += ["--data", str(path)]
+    out = str(tmp_path / "fit.txt")
+    assert run(["fit", "--config", cfg] + paths
+               + ["--bind", "f_P:per,n_bar:per",
+                  "--init", "f_P=110,n_bar=2e-3", "--out", out]) == 1
+    assert "'syn' is used more than once" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def _report_lines(path):
+    return [ln for ln in open(path).read().splitlines()
+            if not ln.startswith("#")]
+
+
+def test_ng_reaches_fit_and_thermal_fit(tmp_path):
+    from parityflux import DeviceParams, FluxFrequencyMap
+    from parityflux.cli import _read_data_csv
+    from parityflux.fitting import (FitDataset, FitProblem, fit, fit_thermal,
+                                    thermal_nups_rate)
+
+    prefix = str(tmp_path / "syn_")
+    assert run(["make-synthetic", "--kind", "single", "--seed", "5",
+                "--points", "9", "--out-prefix", prefix]) == 0
+    data = prefix + "single.csv"
+    reports = {}
+    for ng in ("0.0", "0.25"):
+        reports[ng] = str(tmp_path / ("fit_%s.txt" % ng))
+        assert run(["fit", "--data", data, "--bind", "f_P:per,n_bar:per",
+                    "--init", "f_P=120,n_bar=1.5e-3,s=2.81,gap_diff=4.86",
+                    "--ng", ng, "--out", reports[ng]]) == 0
+    phi, gam, sig = _read_data_csv(data, FluxFrequencyMap())
+    problem = FitProblem(
+        datasets=[FitDataset("syn_single", phi, gam, sig)],
+        free=("f_P", "n_bar"), bindings={"f_P": "per", "n_bar": "per"},
+        fixed={"s": 2.81, "g_other": 0.0, "gap_diff": 4.86}, n_g=0.0)
+    res = fit(problem, dict(f_P=120.0, n_bar=1.5e-3), params=DeviceParams())
+    lines = _report_lines(reports["0.0"])
+    for name in ("f_P[syn_single]", "n_bar[syn_single]"):
+        assert "%s = %.8g +- %.3g" % (name, res.values[name],
+                                      res.uncertainties[name]) in lines
+    assert lines != _report_lines(reports["0.25"])
+
+    thermal = tmp_path / "thermal.csv"
+    temps = np.linspace(0.03, 0.21, 6)
+    rows = ["%.12g,%.12g" % (t, 300.0 + thermal_nups_rate(DeviceParams(), t))
+            for t in temps]
+    thermal.write_text("t_kelvin,gamma_per_s\n" + "\n".join(rows) + "\n")
+    for ng in ("0.0", "0.25"):
+        reports[ng] = str(tmp_path / ("thermal_%s.txt" % ng))
+        assert run(["thermal-fit", "--data", str(thermal), "--ng", ng,
+                    "--out", reports[ng]]) == 0
+    values = [tuple(float(v) for v in row.split(",")) for row in rows]
+    gap, offset, _ = fit_thermal(values, DeviceParams(), n_g=0.0)
+    lines = _report_lines(reports["0.0"])
+    assert "gap_mean_ghz = %.6f" % gap in lines
+    assert "gamma_p_offset_per_s = %.8g" % offset in lines
+    assert lines != _report_lines(reports["0.25"])
+
+
 def test_fit_data_fq_column(cfg, tmp_path):
     # fit data may carry fq_ghz instead of phi
     src = str(tmp_path / "d.csv")
@@ -265,6 +350,19 @@ def test_lamp_cli(tmp_path):
     out = str(tmp_path / "lamp_fit.txt")
     assert run(["lamp", "--data", src, "--out", out]) == 0
     assert "k_agg" in open(out).read()
+
+
+def test_lamp_cli_rejects_bad_t_mc(tmp_path, capsys):
+    src = tmp_path / "lamp.csv"
+    src.write_text("p_lamp_uw,gamma_per_s\n0.0,30\n1.4,32\n5.6,40\n")
+    out = str(tmp_path / "lamp_fit.txt")
+    for value, message in (("-1", "t_mc must be positive"),
+                           ("0", "t_mc must be positive"),
+                           ("nan", "t_mc must be finite")):
+        assert run(["lamp", "--data", str(src), "--t-mc", value,
+                    "--out", out]) == 1
+        assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):

@@ -168,6 +168,53 @@ def test_fit_degeneracy_s_g_other(device_early):
     assert {"s[shared]", "g_other[shared]"} <= set(err.value.names)
 
 
+def test_duplicate_dataset_labels_rejected():
+    phi = np.linspace(0.0, 0.5, 3)
+    ones = np.ones(3)
+    datasets = [FitDataset("syn", phi, ones, ones),
+                FitDataset("syn", phi, ones, ones)]
+    with pytest.raises(ValueError, match="'syn' is used more than once"):
+        FitProblem(datasets=datasets, free=("n_bar",),
+                   bindings={"n_bar": "per"})
+
+
+def test_model_memo_keyed_on_the_flux_grid(device, monkeypatch):
+    import parityflux.fitting as fitting
+    calls = {"flux_point": [], "dilute_tables_grid": [], "paps_unit_grid": []}
+
+    def counting(name):
+        original = getattr(fitting, name)
+
+        def wrapped(params, *a, **kw):
+            calls[name].append((params.gap_diff,) + a[1:])
+            return original(params, *a, **kw)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(fitting, name, counting(name))
+    phi = np.linspace(0.0, 0.5, 5)
+    ones = np.ones(5)
+    problem = FitProblem(
+        datasets=[FitDataset("bg", phi, ones, ones),
+                  FitDataset("lamp", phi, ones, ones)],
+        free=("f_P", "n_bar", "gap_diff"),
+        bindings={"f_P": "per", "n_bar": "per", "gap_diff": "shared"},
+        fixed={"s": 11.0, "g_other": 8e-8}, lamp_mode=True)
+    model = fitting.GammaModel(problem, device)
+    # two datasets on one grid: its flux points are diagonalized once
+    assert len(calls["flux_point"]) == phi.size
+    for vector in ([109.0, 125.0, 2.1e-3, 12.8e-3, 4.844],
+                   [109.0, 125.0, 3e-3, 9e-3, 4.844],
+                   [109.0, 125.0, 2.1e-3, 12.8e-3, 4.85]):
+        model.evaluate(vector)
+    # one table per gap_diff, one unit PAPS grid per (gap_diff, f_P); the
+    # lamp dataset's background mode reuses the background dataset's grid
+    assert len(calls["dilute_tables_grid"]) == 2
+    assert sorted(calls["paps_unit_grid"]) == [
+        (4.844, 109.0, fitting._FIT_RTOL), (4.844, 125.0, fitting._FIT_RTOL),
+        (4.85, 109.0, fitting._FIT_RTOL), (4.85, 125.0, fitting._FIT_RTOL)]
+
+
 def test_pseudo_r2_limits():
     phi = np.linspace(0, 1, 10)
     gam = 100 + 30 * phi

@@ -180,10 +180,10 @@ def test_per_qp_symmetric_films(device):
 def test_grid_tables_match_pointwise(device):
     points = [flux_point(device, p) for p in (0.0, 0.145, 0.4)]
     grid = dilute_tables_grid(device, points, rtol=1e-9)
-    for pt, tab in zip(points, grid):
+    for k, pt in enumerate(points):
         single = dilute_tables(device, pt.phi, rtol=1e-10, point=pt)
-        assert np.allclose(tab.lr, single.lr, rtol=1e-6)
-        assert np.allclose(tab.rl, single.rl, rtol=1e-6)
+        assert np.allclose(grid.lr[k], single.lr[0], rtol=1e-6)
+        assert np.allclose(grid.rl[k], single.rl[0], rtol=1e-6)
     units = paps_unit_grid(device, points, 112.0, rtol=1e-9)
     for pt, unit in zip(points, units):
         _, tot = paps_rates(device, pt.phi, PhotonDrive(112.0, 1.0),
@@ -285,15 +285,14 @@ def test_grid_assembly_matches_per_transition_reference(device):
 
     tables = dilute_tables_grid(device, points)
     low, high = film(True, 0.0), film(False, 0.0)
-    for occ, emp, got in ((low, high, [t.lr for t in tables]),
-                          (high, low, [t.rl for t in tables])):
+    for occ, emp, got in ((low, high, tables.lr), (high, low, tables.rl)):
         ref = _reference_junction_sum(
             device, points,
             lambda i, j: nups_integral_grid(
                 fqs * (j - i), occ, emp, pauli_blocking=False, boltzmann=True,
                 mean_gap=device.gap_mean),
             nups_prefactor_per_s)
-        assert np.array_equal(np.array(got), ref)
+        assert np.array_equal(got, ref)
 
     low, high = film(True, -math.inf), film(False, -math.inf)
     pref = paps_prefactor_per_s(device, 1.0, 112.0)

@@ -160,3 +160,112 @@ def test_solve_trapping_computes_gamma_p_once(device_early, monkeypatch):
                                    6.2e-9)
     assert s > 0
     assert calls == {"paps_unit_grid": 1, "mu_from_xqp": 0}
+
+
+def _scalar_solve_balance(g_per_side, dyn, gamma03, gamma30, eta, model):
+    """The per-point Newton solve that the batched solve_balance replaced,
+    kept verbatim as the reference for its numbers."""
+    def decoupled_root(g, lin, quad):
+        if quad == 0.0:
+            return g / lin if lin > 0 else 0.0
+        return (-lin + math.sqrt(lin * lin + 4.0 * quad * g)) / (2.0 * quad)
+
+    em = math.exp(-eta)
+    a = 1.0 + em if model == "full" else 1.0
+    b = 1.0 + em * em if model == "full" else 1.0
+    s_eff = a * dyn.s
+    r_eff = b * dyn.r
+    t30 = gamma30 * em
+    x0 = decoupled_root(g_per_side, s_eff + gamma03, r_eff)
+    x2 = decoupled_root(g_per_side, s_eff + t30, r_eff)
+
+    def residuals(x0, x2):
+        f0 = g_per_side - s_eff * x0 - r_eff * x0 * x0 - gamma03 * x0 + t30 * x2
+        f2 = g_per_side - s_eff * x2 - r_eff * x2 * x2 + gamma03 * x0 - t30 * x2
+        return f0, f2
+
+    for _ in range(100):
+        f0, f2 = residuals(x0, x2)
+        scale = max(g_per_side, s_eff * max(x0, x2), r_eff * max(x0, x2) ** 2,
+                    gamma03 * x0, t30 * x2, 1e-300)
+        if max(abs(f0), abs(f2)) < 1e-12 * scale:
+            return x0, x2
+        j00 = -s_eff - 2.0 * r_eff * x0 - gamma03
+        j02 = t30
+        j20 = gamma03
+        j22 = -s_eff - 2.0 * r_eff * x2 - t30
+        det = j00 * j22 - j02 * j20
+        dx0 = (-f0 * j22 + f2 * j02) / det
+        dx2 = (-j00 * f2 + j20 * f0) / det
+        step = 1.0
+        while (x0 + step * dx0 < 0 or x2 + step * dx2 < 0) and step > 1e-6:
+            step *= 0.5
+        x0 += step * dx0
+        x2 += step * dx2
+    raise AssertionError("reference solve did not converge")
+
+
+def test_batched_balance_matches_scalar_reference(device):
+    from parityflux.device import cooper_pair_number
+    from parityflux.rates import (dilute_tables_grid, flux_point,
+                                  paps_unit_grid, rho_weighted)
+
+    points = [flux_point(device, p) for p in np.linspace(0.0, 0.5, 51)]
+    tables = dilute_tables_grid(device, points)
+    n_cp = cooper_pair_number(device.gap_low, device.volume_low,
+                              device.dos_fermi)
+    rho = (0.5, 0.5)
+    g03 = tables.per_qp(rho, n_cp, "low_to_high")
+    g30 = tables.per_qp(rho, n_cp, "high_to_low")
+    g_photon = rho_weighted(2.1e-3 * paps_unit_grid(device, points, 109.0),
+                            rho) / n_cp
+    cases = [(s, R_REC, g_other, g_photon)
+             for s in (0.0, 3.0, 11.0, 40.0, 1e3)
+             for g_other in (0.0, 8e-8, 1e-6)]
+    # no generation at all, and no recombination (the linear root)
+    cases += [(11.0, R_REC, 0.0, 0.0 * g_photon), (11.0, 0.0, 8e-8, g_photon)]
+    compared = 0
+    for s, r, g_other, g_p in cases:
+        dyn = DynamicsParams(s=s, r=r, g_other=g_other)
+        g = g_p + g_other
+        for model in ("full", "reduced"):
+            x0, x2 = solve_balance(g, dyn, g03, g30, tables.eta, model)
+            ref = np.array([_scalar_solve_balance(gk, dyn, a, b, tables.eta,
+                                                  model)
+                            for gk, a, b in zip(g, g03, g30)])
+            assert np.array_equal(x0, ref[:, 0])
+            assert np.array_equal(x2, ref[:, 1])
+            compared += g.size
+    assert compared >= 1000
+
+
+def test_balance_curve_is_one_solve(device, monkeypatch):
+    ss = importlib.import_module("parityflux.steady_state")
+    calls = []
+    original = ss.solve_balance
+
+    def counting(g, *a, **kw):
+        calls.append(np.size(g))
+        return original(g, *a, **kw)
+
+    monkeypatch.setattr(ss, "solve_balance", counting)
+    curve = gamma_curve(device, DynamicsParams(), PhotonDrive(109.0, 2.1e-3),
+                        np.linspace(0.0, 0.5, 7))
+    assert calls == [7] and len(curve) == 7
+    calls.clear()
+    curve_point(device, DynamicsParams(), 0.145, PhotonDrive(109.0, 2.1e-3))
+    assert calls == [1]
+
+
+def test_batched_balance_errors_name_any_point():
+    dyn = DynamicsParams(s=0.0, r=0.0, g_other=1e-8)
+    # one lossless point among lossy ones still diverges
+    with pytest.raises(SteadyStateError, match="diverge"):
+        solve_balance([1e-8, 1e-8], dyn, [2.0, 0.0], [5.0, 0.0], eta=5.0)
+    # tunneling alone conserves the total: singular at point 0, while the
+    # empty point 1 converges at once
+    with pytest.raises(SteadyStateError, match="singular"):
+        solve_balance([1e-8, 0.0], dyn, [2.0, 0.0], [5.0, 0.0], eta=5.0)
+    x0, x2 = solve_balance([0.0], dyn, [0.0], [0.0], eta=5.0)
+    assert x0.shape == x2.shape == (1,)
+    assert x0[0] == 0.0 and x2[0] == 0.0
