@@ -26,7 +26,7 @@ from .rates import (PhotonDrive, RateBreakdown, blackbody_weights,
                     effective_single_frequency, nups_rates, paps_rates,
                     per_qp_tunneling, rate_breakdown)
 from .steady_state import (CurvePoint, DynamicsParams, QPState,
-                           SteadyStateError, gamma_curve, steady_state,
+                           SteadyStateError, gamma_curve,
                            solve_trapping_for_density)
 from .fitting import (DegenerateFitError, FitDataset, FitProblem, FitResult,
                       band_power, fit, fit_lamp, fit_lamp_series, fit_thermal,

@@ -162,9 +162,9 @@ def cmd_rates(args):
     rho = _rho_from(args, dyn_cfg)
     drive = _drive_from(args, dyn_cfg)
     left = FilmState.from_xqp(params.gap_low, params.t_ph, args.x0,
-                              params.volume_low, params.dynes)
+                              params.dynes)
     right = FilmState.from_xqp(params.gap_high, params.t_ph, args.x3,
-                               params.volume_high, params.dynes)
+                               params.dynes)
     lines = _manifest_lines("rates", args, args.config, cfg_vals)
     cols = (["phi", "fq_ghz"]
             + ["gn%d%d" % (i, j) for i in range(2) for j in range(2)]
@@ -298,20 +298,25 @@ def _parse_init(spec, bindings):
 
 def cmd_fit(args):
     params, fmap, dyn_cfg, cfg_vals = _load_device(args)
-    bindings = _parse_bindings(args.bind)
-    init = _parse_init(args.init, bindings)
+    if args.staged and not args.lamp_mode:
+        raise UsageError("--staged applies to --lamp-mode series fits")
+    if not args.staged:
+        for flag in ("bind", "init"):
+            if getattr(args, flag) is None:
+                raise UsageError("fit needs --%s unless --staged is given"
+                                 % flag)
+        bindings = _parse_bindings(args.bind)
+        init = _parse_init(args.init, bindings)
     datasets = []
     for k, path in enumerate(args.data):
         phi, gam, sig = _read_data_csv(path, fmap)
         label = os.path.splitext(os.path.basename(path))[0]
         datasets.append(FitDataset(label=label, phi=phi, gamma=gam, sigma=sig))
-    fixed = {name: init.get(name, params.gap_diff if name == "gap_diff" else 0.0)
-             for name in FIT_PARAMETERS if name not in bindings}
     if args.staged:
-        if not args.lamp_mode:
-            raise UsageError("--staged applies to --lamp-mode series fits")
         result = fit_lamp_series(datasets, params=params, n_g=args.ng)
     else:
+        fixed = {n: init.get(n, params.gap_diff if n == "gap_diff" else 0.0)
+                 for n in FIT_PARAMETERS if n not in bindings}
         problem = FitProblem(datasets=datasets, free=tuple(bindings),
                              bindings=bindings, fixed=fixed,
                              lamp_mode=args.lamp_mode, n_g=args.ng)
@@ -533,15 +538,20 @@ def build_parser():
     q = add_parser("fit", help="multi-dataset model fit")
     add_common(q)
     q.add_argument("--data", action="append", required=True)
-    q.add_argument("--bind", required=True,
-                   help='e.g. "s:shared,g_other:shared,gap_diff:shared,'
-                        'f_P:per,n_bar:per"')
-    q.add_argument("--init", required=True,
-                   help='e.g. "f_P=110,n_bar=2e-3,s=10,g_other=5e-8,gap_diff=4.85"')
+    q.add_argument("--bind",
+                   help='free parameters, e.g. "s:shared,g_other:shared,'
+                        'gap_diff:shared,f_P:per,n_bar:per"; required '
+                        'unless --staged')
+    q.add_argument("--init",
+                   help='start values, e.g. "f_P=110,n_bar=2e-3,s=10,'
+                        'g_other=5e-8,gap_diff=4.85"; required unless '
+                        '--staged')
     q.add_argument("--lamp-mode", action="store_true")
     q.add_argument("--staged", action="store_true",
                    help="staged lamp-series pipeline (prefits + trapping-rate "
-                        "scan); requires --lamp-mode")
+                        "scan); requires --lamp-mode; it starts from its own "
+                        "constants, frees all parameters and does not read "
+                        "--bind or --init")
     q.set_defaults(func=cmd_fit)
 
     q = add_parser("thermal-fit", help="mean gap from a temperature sweep")

@@ -495,8 +495,8 @@ def fit_lamp_series(datasets, params: DeviceParams = None, n_g=DEFAULT_NG):
 # thermal sweep: extract the mean gap
 
 def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
-                      rho=(0.5, 0.5), x_background=0.0, rtol=1e-8, point=None):
-    """rho-weighted NUPS rate with thermal (mu = 0) films at temperature t.
+                      x_background=0.0, point=None):
+    """NUPS rate at rho = (1/2, 1/2) with thermal (mu = 0) films at t.
 
     x_background adds a temperature-independent excess density on both
     sides (shifting mu accordingly), used by the qp_background fit mode.
@@ -513,11 +513,11 @@ def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
                                -params.gap_diff / thermal_energy_ghz(t_kelvin)),
                            params.dynes)
     left = FilmState(gap=params.gap_low, temperature=t_kelvin, mu=mu_l,
-                     x_qp=0.0, volume=params.volume_low, dynes=params.dynes)
+                     x_qp=0.0, dynes=params.dynes)
     right = FilmState(gap=params.gap_high, temperature=t_kelvin, mu=mu_r,
-                      x_qp=0.0, volume=params.volume_high, dynes=params.dynes)
-    _, tot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point)
-    return float(rho_weighted(tot, rho))
+                      x_qp=0.0, dynes=params.dynes)
+    return float(rho_weighted(nups_rates(params, phi, left, right, n_g,
+                                         point=point), (0.5, 0.5)))
 
 
 def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
@@ -609,16 +609,15 @@ def lamp_temperature(p_lamp_uw, theta: LampTheta):
     return np.sqrt(theta.k_agg * np.asarray(p_lamp_uw, dtype=float)
                    + theta.t_mc**2)
 
-def lamp_model(p_lamp_uw, theta: LampTheta, band=(100.0, 300.0), kind="3d"):
-    """Modeled Gamma as a function of lamp power (uW)."""
+def lamp_model(p_lamp_uw, theta: LampTheta):
+    """Modeled Gamma as a function of lamp power (uW); 3d default band."""
     temps = np.atleast_1d(lamp_temperature(p_lamp_uw, theta))
-    vals = np.array([theta.a * band_power(t, band, kind) + theta.b
-                     for t in temps])
+    vals = np.array([theta.a * band_power(t) + theta.b for t in temps])
     return float(vals[0]) if np.isscalar(p_lamp_uw) else vals
 
 
-def fit_lamp(data, t_mc=0.03, band=(100.0, 300.0), kind="3d"):
-    """Fit (k_agg, a, b) of the lamp model to (P_lamp, Gamma) data."""
+def fit_lamp(data, t_mc=0.03):
+    """Fit (k_agg, a, b) of lamp_model to (P_lamp, Gamma) data."""
     powers = np.asarray([p for p, _ in data], dtype=float)
     gammas = np.asarray([g for _, g in data], dtype=float)
     sigmas = np.maximum(0.05 * np.abs(gammas), 1e-6)
@@ -631,7 +630,7 @@ def fit_lamp(data, t_mc=0.03, band=(100.0, 300.0), kind="3d"):
         for i, t in enumerate(temps):
             key = round(float(t), 12)
             if key not in bp_cache:
-                bp_cache[key] = band_power(t, band, kind)
+                bp_cache[key] = band_power(t)
             out[i] = th.a * bp_cache[key] + th.b
         return out
 
@@ -639,7 +638,7 @@ def fit_lamp(data, t_mc=0.03, band=(100.0, 300.0), kind="3d"):
         return (model(theta) - gammas) / sigmas
 
     # amplitude scale from the data range against a unit band power
-    bp_ref = band_power(math.sqrt(3.0 * max(powers.max(), 1.0)), band, kind)
+    bp_ref = band_power(math.sqrt(3.0 * max(powers.max(), 1.0)))
     a0 = max((gammas.max() - gammas.min()) / max(bp_ref, 1e-30), 1e-12)
     x0 = np.array([3.0, a0, max(gammas.min(), 1e-3)])
     lower = np.array([1e-3, a0 * 1e-6, 1e-6])

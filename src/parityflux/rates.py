@@ -10,7 +10,8 @@ elements with the pair-breaking structure factors and a per-photon coupling
 prefactor.  Transition i -> j takes its structure factors at the qubit
 energy (j - i) f_q; the one junction sum, ``_junction_rates``, takes them
 keyed by delta = j - i in {0, +1, -1}, and each channel has one assembly on
-it (``_nups_channels``, ``_paps_channels``).
+it (``_nups_channels``, ``_paps_channels``).  Only the junction-summed 2x2
+matrices leave this module.
 
 The prefactors are the ones that reproduce the reference device's measured
 and fitted rates (excitation/relaxation 134/247 1/s at zero flux, the
@@ -116,22 +117,24 @@ class ChannelTotals:
 
 
 def _junction_rates(params: DeviceParams, points, pair_of, weight):
-    """Per-junction channel rates weight(f_EJ) [m_cos S_- + m_sin S_+].
+    """Junction-summed channel rates, the sum over J1 and J2 (in that order)
+    of weight(f_EJ) [m_cos S_- + m_sin S_+].
 
     ``pair_of(delta)`` gives the (S_+, S_-) pairs at the qubit energy
     delta * f_q of the K flux points, shape (K, 2), once per delta in
     {0, +1, -1}; transition i -> j takes delta = j - i.  ``weight`` maps a
-    junction's E_J/h to its prefactor in 1/s.  Returns {Junction: (K, 2, 2)}.
+    junction's E_J/h to its prefactor in 1/s.  Returns a (K, 2, 2) array.
     """
     pairs = {delta: np.reshape(pair_of(delta), (-1, 2)) for delta in (0, 1, -1)}
     s = np.stack([pairs[j - i] for (i, j) in TRANSITIONS],
                  axis=1).reshape(-1, 2, 2, 2)
-    out = {}
-    for junction, f_ej in ((Junction.J1, params.ej1), (Junction.J2, params.ej2)):
-        m_cos = np.array([pt.mels[junction].m_cos for pt in points])
-        m_sin = np.array([pt.mels[junction].m_sin for pt in points])
-        out[junction] = weight(f_ej) * (m_cos * s[..., 1] + m_sin * s[..., 0])
-    return out
+
+    def junction(j, f_ej):
+        mels = [pt.mels[j] for pt in points]
+        return weight(f_ej) * (np.array([m.m_cos for m in mels]) * s[..., 1]
+                               + np.array([m.m_sin for m in mels]) * s[..., 0])
+
+    return junction(Junction.J1, params.ej1) + junction(Junction.J2, params.ej2)
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,8 @@ class RateBreakdown(ChannelTotals):
 
     phi: float
     fq: float
-    gamma_n: np.ndarray                  # 2x2, junction-summed
-    gamma_p: np.ndarray                  # 2x2, junction-summed
-    gamma_n_junction: dict               # Junction -> 2x2
-    gamma_p_junction: dict               # Junction -> 2x2
+    gamma_n: np.ndarray   # 2x2, junction-summed
+    gamma_p: np.ndarray   # 2x2, junction-summed
     rho: tuple
 
     @property
@@ -156,7 +157,7 @@ def _film_pauli(film):
 
 
 def _nups_channels(params: DeviceParams, points, directions, rtol):
-    """NUPS channel rates {Junction: (K, 2, 2)} at the K flux points; the
+    """Junction-summed (K, 2, 2) NUPS channel rates at the K flux points; the
     structure factors are summed over the (occupied, empty, pauli,
     boltzmann) ``directions`` in the order given."""
     fqs = np.array([pt.fq for pt in points])
@@ -170,26 +171,19 @@ def _nups_channels(params: DeviceParams, points, directions, rtol):
 
 
 def nups_rates(params: DeviceParams, phi, left: FilmState, right: FilmState,
-               n_g=DEFAULT_NG, direction="both", rtol=1e-8, point=None):
-    """Number-conserving rates; returns (per-junction dict, summed 2x2).
+               n_g=DEFAULT_NG, rtol=1e-8, point=None):
+    """Junction-summed 2x2 number-conserving rates.
 
     ``left`` is the low-gap junction electrode, ``right`` the high-gap one.
-    direction selects the occupied side: 'lr' (left occupied), 'rl', or
-    'both'.  The Boltzmann shortcut is taken per direction where it is exact
-    to 1e-6.
+    Both directions are summed, the left-occupied one first; a film with
+    no excess QPs (mu = -inf) supplies exact zeros.  The Boltzmann
+    shortcut is taken per direction where it is exact to 1e-6.
     """
-    if direction not in ("lr", "rl", "both"):
-        raise ValueError("direction must be 'lr', 'rl' or 'both', got %r"
-                         % (direction,))
     point = point or flux_point(params, phi, n_g)
-    directions = []
-    for dname in (("lr", "rl") if direction == "both" else (direction,)):
-        occ, emp = (left, right) if dname == "lr" else (right, left)
-        use_mb = occ.boltzmann_ok()
-        directions.append((occ, emp, _film_pauli(emp) and not use_mb, use_mb))
-    rates = _nups_channels(params, [point], directions, rtol)
-    per_junction = {junction: g[0] for junction, g in rates.items()}
-    return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
+    directions = [(occ, emp, _film_pauli(emp) and not occ.boltzmann_ok(),
+                   occ.boltzmann_ok())
+                  for occ, emp in ((left, right), (right, left))]
+    return _nups_channels(params, [point], directions, rtol)[0]
 
 
 def paps_prefactor_per_s(params: DeviceParams, n_bar, f_p):
@@ -201,7 +195,7 @@ def paps_prefactor_per_s(params: DeviceParams, n_bar, f_p):
 
 def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
                n_g=DEFAULT_NG, rtol=1e-8, point=None):
-    """Photon-assisted rates; returns (per-junction dict, summed 2x2).
+    """Junction-summed 2x2 photon-assisted rates.
 
     ``drive`` is a PhotonDrive or an iterable of modes (rates add linearly).
     Film states are only needed for Pauli blocking of the two created QPs;
@@ -211,21 +205,15 @@ def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
     pauli = _film_pauli(left) or _film_pauli(right)
     lfilm = left if left is not None else _bare_film(params, low=True)
     rfilm = right if right is not None else _bare_film(params, low=False)
-    per_junction = {j: np.zeros((2, 2)) for j in (Junction.J1, Junction.J2)}
-    for mode in _drive_list(drive):
-        if mode.n_bar == 0.0:
-            continue
-        for junction, g in _paps_channels(
-                params, [point], mode.f_p, mode.n_bar, lfilm, rfilm, pauli,
-                rtol).items():
-            per_junction[junction] = per_junction[junction] + g[0]
-    return per_junction, per_junction[Junction.J1] + per_junction[Junction.J2]
+    return sum((_paps_channels(params, [point], m.f_p, m.n_bar, lfilm, rfilm,
+                               pauli, rtol)[0]
+                for m in _drive_list(drive) if m.n_bar > 0.0), np.zeros((2, 2)))
 
 
 def _paps_channels(params: DeviceParams, points, f_p, n_bar, left, right,
                    pauli, rtol):
-    """PAPS channel rates {Junction: (K, 2, 2)} of one photon mode at the K
-    flux points.  The pairs sum the photon's first QP on the left film and
+    """Junction-summed (K, 2, 2) PAPS channel rates of one photon mode at the
+    K flux points.  The pairs sum the photon's first QP on the left film and
     on the right film; each junction takes its E_J share of the prefactor."""
     fqs = np.array([pt.fq for pt in points])
     pref = paps_prefactor_per_s(params, n_bar, f_p)
@@ -240,8 +228,7 @@ def _paps_channels(params: DeviceParams, points, f_p, n_bar, left, right,
 
 def _bare_film(params, low, mu=-math.inf):
     gap = params.gap_low if low else params.gap_high
-    return FilmState(gap=gap, temperature=params.t_ph, mu=mu,
-                     x_qp=0.0, volume=params.volume_low if low else params.volume_high,
+    return FilmState(gap=gap, temperature=params.t_ph, mu=mu, x_qp=0.0,
                      dynes=params.dynes)
 
 
@@ -250,12 +237,11 @@ def rate_breakdown(params: DeviceParams, phi, left: FilmState, right: FilmState,
                    point=None):
     """Full NUPS + PAPS channel breakdown at one flux point."""
     point = point or flux_point(params, phi, n_g)
-    nj, ntot = nups_rates(params, phi, left, right, n_g, rtol=rtol, point=point)
-    pj, ptot = paps_rates(params, phi, drive, left, right, n_g, rtol=rtol,
-                          point=point)
-    return RateBreakdown(phi=phi, fq=point.fq, gamma_n=ntot, gamma_p=ptot,
-                         gamma_n_junction=nj, gamma_p_junction=pj,
-                         rho=tuple(rho))
+    return RateBreakdown(
+        phi=phi, fq=point.fq,
+        gamma_n=nups_rates(params, phi, left, right, n_g, rtol, point),
+        gamma_p=paps_rates(params, phi, drive, left, right, n_g, rtol, point),
+        rho=tuple(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +291,7 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8):
     is what makes curve evaluation inside fit loops cheap.
     """
     low, high = _bare_film(params, True, mu=0.0), _bare_film(params, False, mu=0.0)
-    lr, rl = (sum(_nups_channels(params, points, [(occ, emp, False, True)],
-                                 rtol).values())
+    lr, rl = (_nups_channels(params, points, [(occ, emp, False, True)], rtol)
               for occ, emp in ((low, high), (high, low)))
     x_ref = xqp_from_mu(params.gap_low, params.t_ph, 0.0, params.dynes,
                         rtol=1e-10)
@@ -317,10 +302,9 @@ def dilute_tables_grid(params: DeviceParams, points, rtol=1e-8):
 def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8):
     """Junction-summed PAPS 2x2 per unit n_bar for many flux points; returns
     a (K, 2, 2) array."""
-    return sum(_paps_channels(params, points, f_p, 1.0,
-                              _bare_film(params, low=True),
-                              _bare_film(params, low=False), False,
-                              rtol).values())
+    return _paps_channels(params, points, f_p, 1.0,
+                          _bare_film(params, low=True),
+                          _bare_film(params, low=False), False, rtol)
 
 
 def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
@@ -336,12 +320,6 @@ def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low, params.dos_fermi)
     return dilute_tables(params, phi, n_g, rtol).per_qp(rho, n_cp_low,
                                                         direction)[0]
-
-
-def paps_unit_rates(params: DeviceParams, phi, f_p, n_g=DEFAULT_NG, rtol=1e-8):
-    """Junction-summed 2x2 PAPS matrix per unit mode occupation (dilute):
-    paps_unit_grid at K = 1."""
-    return paps_unit_grid(params, [flux_point(params, phi, n_g)], f_p, rtol)[0]
 
 
 # ---------------------------------------------------------------------------

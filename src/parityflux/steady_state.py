@@ -168,12 +168,6 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
         y0, y2 = n0, n2
 
 
-def steady_state(params: DeviceParams, dyn: DynamicsParams, phi, drive,
-                 rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8):
-    """Steady-state QP densities at one flux point."""
-    return curve_point(params, dyn, phi, drive, rho, n_g, model, rtol).state
-
-
 def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
                   rho, model):
     """One solve_balance over the K points of a DiluteTables batch and their

@@ -75,14 +75,13 @@ def occupation(eps_ghz, t_kelvin, mu_ghz):
 @dataclass(frozen=True)
 class FilmState:
     """One superconducting film: gap, temperature, excess-QP chemical
-    potential, the matching reduced density, and the film volume.  Every
-    field must be finite, except mu = -inf."""
+    potential and the matching reduced density.  Every field must be
+    finite, except mu = -inf."""
 
     gap: float          # Delta/h (GHz)
     temperature: float  # K
     mu: float           # GHz; -inf means no excess QPs
     x_qp: float         # reduced density, consistent with mu
-    volume: float       # um^3
     dynes: float = 1e-4
 
     def __post_init__(self):
@@ -96,16 +95,16 @@ class FilmState:
             raise ValueError("nondegenerate regime assumed: mu < gap")
 
     @classmethod
-    def from_mu(cls, gap, temperature, mu, volume=1.0, dynes=1e-4):
+    def from_mu(cls, gap, temperature, mu, dynes=1e-4):
         x = xqp_from_mu(gap, temperature, mu, dynes)
         return cls(gap=gap, temperature=temperature, mu=mu, x_qp=x,
-                   volume=volume, dynes=dynes)
+                   dynes=dynes)
 
     @classmethod
-    def from_xqp(cls, gap, temperature, x_qp, volume=1.0, dynes=1e-4):
+    def from_xqp(cls, gap, temperature, x_qp, dynes=1e-4):
         mu = mu_from_xqp(gap, temperature, x_qp, dynes)
         return cls(gap=gap, temperature=temperature, mu=mu, x_qp=x_qp,
-                   volume=volume, dynes=dynes)
+                   dynes=dynes)
 
     def boltzmann_ok(self):
         """Occupied-side Maxwell-Boltzmann shortcut is accurate here."""

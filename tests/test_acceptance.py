@@ -68,11 +68,11 @@ def test_criterion_2_detailed_balance(device):
     anchor = None
     for t in (0.030, 0.050, 0.100):
         p = device.with_(t_ph=t)
-        left = FilmState.from_mu(p.gap_low, t, 0.0, p.volume_low, p.dynes)
-        right = FilmState.from_mu(p.gap_high, t, 0.0, p.volume_high, p.dynes)
+        left = FilmState.from_mu(p.gap_low, t, 0.0, p.dynes)
+        right = FilmState.from_mu(p.gap_high, t, 0.0, p.dynes)
         for phi in np.linspace(0.0, 0.5, 11):
             pt = flux_point(p, phi)
-            _, tot = nups_rates(p, phi, left, right, rtol=1e-9, point=pt)
+            tot = nups_rates(p, phi, left, right, rtol=1e-9, point=pt)
             expect = math.exp(-pt.fq / (KB_GHZ_PER_K * t))
             worst = max(worst, abs(tot[0, 1] / tot[1, 0] / expect - 1.0))
             if t == 0.050 and phi == 0.0:

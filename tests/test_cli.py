@@ -274,6 +274,53 @@ def test_fit_duplicate_dataset_labels_domain_error(cfg, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_fit_staged_needs_no_bind_or_init(cfg, tmp_path, capsys,
+                                          monkeypatch):
+    from parityflux import cli
+    from parityflux.fitting import FitResult
+
+    calls = []
+
+    def staged_fit(datasets, params=None, n_g=None):
+        calls.append(([ds.label for ds in datasets], n_g))
+        return FitResult(
+            values={"s[shared]": 11.0}, uncertainties={"s[shared]": 0.5},
+            covariance=np.eye(1), pseudo_r2=1.0,
+            residuals=[np.zeros(ds.phi.size) for ds in datasets],
+            model_curves=[ds.gamma for ds in datasets], iterations=0,
+            final_damping=0.0, jacobian_check=0.0)
+
+    monkeypatch.setattr(cli, "fit_lamp_series", staged_fit)
+    paths = []
+    for label in ("p0", "p1"):
+        path = tmp_path / ("%s.csv" % label)
+        path.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n"
+                        "0.25,420,21\n")
+        paths += ["--data", str(path)]
+    out = str(tmp_path / "fit.txt")
+    staged = (["fit", "--config", cfg] + paths
+              + ["--lamp-mode", "--staged", "--ng", "0.125", "--out", out])
+    # optional with --staged; given ones are neither read nor cross-checked
+    for extra in ([], ["--bind", "f_P:per", "--init", "f_P=110"],
+                  ["--bind", "f_P:per,n_bar:per", "--init", "f_P=110"]):
+        assert run(staged + extra) == 0
+        assert "s[shared] = 11 +- 0.5" in _report_lines(out)
+        os.unlink(out)
+    assert calls == 3 * [(["p0", "p1"], 0.125)]
+    capsys.readouterr()
+    # without --staged each flag is required, and a missing one is named
+    for flag, other in (("--bind", ["--init", "f_P=110"]),
+                        ("--init", ["--bind", "f_P:per"])):
+        assert run(["fit", "--config", cfg] + paths
+                   + ["--lamp-mode", "--out", out] + other) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err
+    assert run(["fit", "--config", cfg] + paths
+               + ["--staged", "--out", out]) == 2
+    assert "--lamp-mode" in capsys.readouterr().err
+    assert len(calls) == 3 and not os.path.exists(out)
+
+
 def _report_lines(path):
     return [ln for ln in open(path).read().splitlines()
             if not ln.startswith("#")]

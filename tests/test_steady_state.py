@@ -7,7 +7,7 @@ import pytest
 from parityflux import DynamicsParams, PhotonDrive, SteadyStateError
 from parityflux.constants import KB_GHZ_PER_K
 from parityflux.steady_state import (curve_point, gamma_curve, solve_balance,
-                                     solve_trapping_for_density, steady_state)
+                                     solve_trapping_for_density)
 
 R_REC = 1.0 / 120e-9
 
@@ -61,20 +61,21 @@ def test_divergence_detected_without_losses():
 
 def test_monotonicity_grid(device):
     drive = PhotonDrive(109.0, 2.1e-3)
-    base = steady_state(device, DynamicsParams(s=11, r=R_REC, g_other=8e-8),
-                        0.0, drive)
-    more_g = steady_state(device, DynamicsParams(s=11, r=R_REC, g_other=2e-7),
-                          0.0, drive)
-    more_s = steady_state(device, DynamicsParams(s=30, r=R_REC, g_other=8e-8),
-                          0.0, drive)
-    more_n = steady_state(device, DynamicsParams(s=11, r=R_REC, g_other=8e-8),
-                          0.0, PhotonDrive(109.0, 6e-3))
+    base = curve_point(device, DynamicsParams(s=11, r=R_REC, g_other=8e-8),
+                       0.0, drive).state
+    more_g = curve_point(device, DynamicsParams(s=11, r=R_REC, g_other=2e-7),
+                         0.0, drive).state
+    more_s = curve_point(device, DynamicsParams(s=30, r=R_REC, g_other=8e-8),
+                         0.0, drive).state
+    more_n = curve_point(device, DynamicsParams(s=11, r=R_REC, g_other=8e-8),
+                         0.0, PhotonDrive(109.0, 6e-3)).state
     assert more_g.x0 > base.x0 > more_s.x0
     assert more_n.x0 > base.x0
 
 
 def test_thermalization_constraint(device):
-    st = steady_state(device, DynamicsParams(), 0.1, PhotonDrive(109.0, 2.1e-3))
+    st = curve_point(device, DynamicsParams(), 0.1,
+                     PhotonDrive(109.0, 2.1e-3)).state
     em = math.exp(-device.gap_diff / (KB_GHZ_PER_K * device.t_ph))
     assert st.x1 == pytest.approx(st.x0 * em, rel=1e-12)
     assert st.x3 == pytest.approx(st.x2 * em, rel=1e-12)
@@ -86,8 +87,8 @@ def test_full_vs_reduced_within_eta(device):
     dyn = DynamicsParams()
     em = math.exp(-device.gap_diff / (KB_GHZ_PER_K * device.t_ph))
     for phi in (0.0, 0.145, 0.4):
-        full = steady_state(device, dyn, phi, drive, model="full")
-        red = steady_state(device, dyn, phi, drive, model="reduced")
+        full = curve_point(device, dyn, phi, drive, model="full").state
+        red = curve_point(device, dyn, phi, drive, model="reduced").state
         assert abs(full.x0 - red.x0) / red.x0 < 2.5 * em
         assert abs(full.x2 - red.x2) / red.x2 < 2.5 * em
 
@@ -134,8 +135,8 @@ def test_solve_trapping_for_density(device_early):
     drive = PhotonDrive(112.0, 1.9e-3)
     s = solve_trapping_for_density(device_early, 0.0, drive, 6.2e-9)
     assert s > 0
-    st = steady_state(device_early, DynamicsParams(s=s, r=R_REC, g_other=0.0),
-                      0.0, drive)
+    st = curve_point(device_early, DynamicsParams(s=s, r=R_REC, g_other=0.0),
+                     0.0, drive).state
     assert st.x0 == pytest.approx(6.2e-9, rel=1e-6)
     with pytest.raises(SteadyStateError, match="unreachable"):
         solve_trapping_for_density(device_early, 0.0, drive, 1e-6)

@@ -13,8 +13,7 @@ GBAR = 0.5 * (GAP_L + GAP_H)
 
 
 def film(gap, mu=0.0, t=0.05, dynes=1e-4):
-    return FilmState(gap=gap, temperature=t, mu=mu, x_qp=0.0, volume=2100.0,
-                     dynes=dynes)
+    return FilmState(gap=gap, temperature=t, mu=mu, x_qp=0.0, dynes=dynes)
 
 
 # ---------------------------------------------------------------- DOS
@@ -361,20 +360,20 @@ def test_paps_grid_matches_scalar():
 
 
 def test_film_state_constructors():
-    f = FilmState.from_xqp(GAP_L, 0.05, 6.2e-9, volume=2100.0)
+    f = FilmState.from_xqp(GAP_L, 0.05, 6.2e-9)
     assert f.x_qp == 6.2e-9
-    g = FilmState.from_mu(GAP_L, 0.05, f.mu, volume=2100.0)
+    g = FilmState.from_mu(GAP_L, 0.05, f.mu)
     assert g.x_qp == pytest.approx(6.2e-9, rel=1e-8)
     with pytest.raises(ValueError):
-        FilmState(gap=GAP_L, temperature=0.05, mu=GAP_L + 1, x_qp=0.0, volume=1.0)
+        FilmState(gap=GAP_L, temperature=0.05, mu=GAP_L + 1, x_qp=0.0)
     with pytest.raises(ValueError):
-        FilmState(gap=GAP_L, temperature=0.05, mu=0.0, x_qp=-1.0, volume=1.0)
+        FilmState(gap=GAP_L, temperature=0.05, mu=0.0, x_qp=-1.0)
     # NaN fails every range check, so it is rejected by name; mu may be -inf
-    assert FilmState(gap=GAP_L, temperature=0.05, mu=-math.inf, x_qp=0.0,
-                     volume=1.0).mu == -math.inf
-    for name in ("gap", "temperature", "mu", "x_qp", "volume", "dynes"):
+    assert FilmState(gap=GAP_L, temperature=0.05, mu=-math.inf,
+                     x_qp=0.0).mu == -math.inf
+    for name in ("gap", "temperature", "mu", "x_qp", "dynes"):
         fields = dict(gap=GAP_L, temperature=0.05, mu=0.0, x_qp=0.0,
-                      volume=1.0, dynes=1e-4)
+                      dynes=1e-4)
         fields[name] = math.nan
         with pytest.raises(ValueError, match="%s must be finite" % name):
             FilmState(**fields)
