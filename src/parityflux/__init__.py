@@ -7,7 +7,7 @@ Library layout:
 - superconductor: BCS DOS, occupations, density/potential conversions,
                  structure-factor integrals
 - rates:         number-conserving and photon-assisted parity rates,
-                 per-QP tunneling, effective-single-frequency reduction
+                 dilute per-QP tables, effective-single-frequency reduction
 - steady_state:  coupled quasiparticle density balance and model curves
 - fitting:       damped least squares, multi-dataset model fits, thermal and
                  lamp-power models
@@ -24,7 +24,7 @@ from .spectrum import (ChargeMatrixElements, Junction, SpectrumResult,
 from .superconductor import FilmState, dos, mu_from_xqp, occupation, xqp_from_mu
 from .rates import (PhotonDrive, RateBreakdown, blackbody_weights,
                     effective_single_frequency, nups_rates, paps_rates,
-                    per_qp_tunneling, rate_breakdown)
+                    rate_breakdown)
 from .steady_state import (CurvePoint, DynamicsParams, QPState,
                            SteadyStateError, gamma_curve,
                            solve_trapping_for_density)

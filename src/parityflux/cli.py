@@ -325,7 +325,8 @@ def cmd_fit(args):
                             data_paths=args.data)
     lines.append("pseudo_r2 = %.6f" % result.pseudo_r2)
     lines.append("iterations = %d" % result.iterations)
-    lines.append("final_damping = %.3g" % result.final_damping)
+    lines.append("termination = %s" % result.termination)
+    lines.append("jacobian_check = %.2e" % result.jacobian_check)
     for name in sorted(result.values):
         lines.append("%s = %.8g +- %.3g"
                      % (name, result.values[name], result.uncertainties[name]))
@@ -354,6 +355,8 @@ def cmd_thermal_fit(args):
     lines.append("%s = %.8g" % ("gamma_p_offset_per_s" if args.mode == "paps_offset"
                                 else "x_background", extra))
     lines.append("iterations = %d" % res.iterations)
+    lines.append("termination = %s" % res.termination)
+    lines.append("jacobian_check = %.2e" % res.jacobian_check)
     _write_atomic(args.out, lines)
     return 0
 

@@ -74,9 +74,9 @@ class LMResult:
     cov: np.ndarray          # covariance in the untransformed parameter space
     cost: float              # sum of squared residuals at the solution
     iterations: int
-    final_damping: float
     cost_history: list
     jacobian_check: float    # forward-vs-central relative agreement, 1st iter
+    termination: str         # ftol, xtol, max_iter or no_improving_step
 
 
 def _fd_jacobian(fun, z, f0, step):
@@ -98,9 +98,12 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
     steps landing outside the box bounds are rejected (damping grows until
     the step stays inside).  Accepted steps never increase the cost.  The
     first Jacobian is checked against central differences (jacobian_check).
-    Raises ValueError when x0 is not inside the bounds (NaN included) and
-    DegenerateFitError when the normal matrix at the solution is
-    numerically singular.
+    ``termination`` names the exit after MINPACK lmdif: repeated cost stalls
+    ("ftol"), a step below _LM_XTOL ("xtol"), "max_iter", or no lower cost
+    in 60 damping doublings ("no_improving_step").  Raises ValueError when
+    x0 is not inside the bounds (NaN included) or there are fewer residuals
+    than parameters, and DegenerateFitError when the normal matrix at the
+    solution is numerically singular.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.asarray(lower, dtype=float)
@@ -131,12 +134,16 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
 
     z = to_z(x0)
     r = fun(z)
+    if r.size < z.size:
+        raise ValueError("too few data points: %d residuals for %d "
+                         "parameters (%s)" % (r.size, z.size, ", ".join(names)))
     cost = float(r @ r)
     history = [cost]
     lam = 1e-3
     jac_check = 0.0
     n_iter = 0
     stalls = 0
+    termination = "max_iter"
     # finite differences stay inside the box near an active bound
     z_lo, z_hi = to_z(lower), to_z(np.where(np.isfinite(upper), upper, 1e300))
 
@@ -178,6 +185,7 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
                 break
             lam *= 2.0
         if not improved:
+            termination = "no_improving_step"
             break
         rel_impr = (cost - cost_try) / max(cost, 1e-300)
         step_size = np.max(np.abs(z_try - z) / np.maximum(np.abs(z), 1.0))
@@ -189,6 +197,7 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
         if (rel_impr < _LM_FTOL and lam <= 1e-2) or step_size < _LM_XTOL:
             stalls += 1
             if stalls >= 2 or step_size < _LM_XTOL:
+                termination = "xtol" if step_size < _LM_XTOL else "ftol"
                 break
         else:
             stalls = 0
@@ -207,8 +216,8 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
     scale = np.where(log_mask, x, 1.0)
     cov = cov_z * np.outer(scale, scale)
     return LMResult(x=x, cov=cov, cost=cost, iterations=n_iter,
-                    final_damping=lam, cost_history=history,
-                    jacobian_check=jac_check)
+                    cost_history=history, jacobian_check=jac_check,
+                    termination=termination)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +298,7 @@ class FitResult:
     residuals: list          # per-dataset weighted residual vectors
     model_curves: list       # per-dataset model Gamma arrays
     iterations: int
-    final_damping: float
+    termination: str         # why the LM loop stopped (LMResult.termination)
     jacobian_check: float
 
 
@@ -363,7 +372,7 @@ class GammaModel:
                           for m in modes)
             _, _, gamma_n = balance_curve(
                 params, dyn, self._on_grid(dilute_tables_grid, grid, gap_diff),
-                gamma_p, rho, "full")
+                gamma_p, rho)
             out.append(rho_weighted(gamma_p, rho) + rho_weighted(gamma_n, rho))
         return out
 
@@ -413,7 +422,7 @@ def fit(problem: FitProblem, init, params: DeviceParams = None,
         residuals=resids,
         model_curves=curves,
         iterations=res.iterations,
-        final_damping=res.final_damping,
+        termination=res.termination,
         jacobian_check=res.jacobian_check,
     )
 
@@ -533,6 +542,8 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
     if mode not in ("paps_offset", "qp_background"):
         raise ValueError("mode must be 'paps_offset' or 'qp_background'")
     temps = np.asarray([t for t, _ in data], dtype=float)
+    if not np.all(temps > 0):
+        raise ValueError("temperature %g K is not positive" % temps.min())
     gammas = np.asarray([g for _, g in data], dtype=float)
     sigmas = np.maximum(0.05 * np.abs(gammas), 1e-3)
     point = flux_point(params, phi, n_g)

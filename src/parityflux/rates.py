@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, cooper_pair_number, require_finite
+from .device import DeviceParams, require_finite
 from .constants import thermal_energy_ghz
 from .spectrum import DEFAULT_NG, Junction, solve_sectors
 from .superconductor import (FilmState, nups_integral_grid, paps_integral_grid,
@@ -270,6 +270,9 @@ class DiluteTables:
                 + self.rl * (x2 / self.x_ref)[:, None, None])
 
     def per_qp(self, rho, n_cp_low, direction):
+        """rho-weighted per-QP tunneling rates (1/s per QP): low_to_high per
+        QP on the low-gap side, high_to_low per QP on the high-gap side at
+        the shared chemical potential (x3 = x2 e^-eta)."""
         if direction == "low_to_high":
             return rho_weighted(self.lr, rho) / (self.x_ref * n_cp_low)
         return (rho_weighted(self.rl, rho)
@@ -305,21 +308,6 @@ def paps_unit_grid(params: DeviceParams, points, f_p, rtol=1e-8):
     return _paps_channels(params, points, f_p, 1.0,
                           _bare_film(params, low=True),
                           _bare_film(params, low=False), False, rtol)
-
-
-def per_qp_tunneling(params: DeviceParams, phi, direction="low_to_high",
-                     n_g=DEFAULT_NG, rho=(0.5, 0.5), rtol=1e-8):
-    """Directional per-QP tunneling rate (1/s per QP) in the dilute limit.
-
-    low_to_high normalizes by the QP number on the low-gap side; the reverse
-    direction by the high-gap-side number implied by thermalization with the
-    shared chemical potential (x3 = x2 exp(-eta)).
-    """
-    if direction not in ("low_to_high", "high_to_low"):
-        raise ValueError("direction must be 'low_to_high' or 'high_to_low'")
-    n_cp_low = cooper_pair_number(params.gap_low, params.volume_low, params.dos_fermi)
-    return dilute_tables(params, phi, n_g, rtol).per_qp(rho, n_cp_low,
-                                                        direction)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,16 @@ balance equations for (x0, x2):
     0 = G - a s x0 - b r x0^2 - (gamma03 x0 - gamma30 x2 e^-eta)
     0 = G - a s x2 - b r x2^2 + (gamma03 x0 - gamma30 x2 e^-eta)
 
-with G = g_P + g_other per side, a = 1 + e^-eta, b = 1 + e^-2eta in the
-full four-film form (a = b = 1 in the reduced two-density form).  Generation
-by pair-breaking photons, g_P = Gamma_P/N_CP, couples the photon drive into
-the densities; the per-QP tunneling rates gamma03/gamma30 carry the
-qubit-state-weighted measurement pumping.
+with G = g_P + g_other per side, a = 1 + e^-eta and b = 1 + e^-2eta.
+Generation by pair-breaking photons, g_P = Gamma_P/N_CP, couples the photon
+drive into the densities; the per-QP tunneling rates gamma03/gamma30 carry
+the qubit-state-weighted measurement pumping.
 
 ``solve_balance`` is one batched Newton solve over K points that share
-the dynamics and eta; a scalar solve is K = 1.  ``balance_curve`` feeds it
-a DiluteTables batch and the points' Gamma_P matrices in a single call.
-``gamma_curve`` adds the chemical potentials (QPState) to its output,
-``curve_point`` is that curve at one flux point, and the fit model sums the
-rho-weighted totals without building a QPState.
+the dynamics and eta (a scalar solve is K = 1); ``balance_curve`` feeds it
+the inputs ``_balance_inputs`` builds from a DiluteTables batch, and
+``gamma_curve`` adds the chemical potentials (QPState).  Given x0, the
+balance solves for s in closed form (``solve_trapping_for_density``).
 """
 
 import math
@@ -34,15 +32,10 @@ from .rates import (DEFAULT_NG, ChannelTotals, _drive_list, dilute_tables,
 from .superconductor import mu_from_xqp
 
 _NEWTON_STEPS = 100  # solve_balance cap; it converges in a handful
-_S_MAX = 1e4         # upper end (1/s) of the trapping-rate bracket
 
 
 class SteadyStateError(RuntimeError):
     """No finite steady state, or Newton failed to converge."""
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -90,11 +83,10 @@ def _decoupled_root(g, lin, quad):
     return (-lin + np.sqrt(lin * lin + 4.0 * quad * g)) / (2.0 * quad)
 
 
-def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
-                  model="full"):
-    """Newton solve of the two-density balance at K points sharing ``dyn``,
-    ``eta`` and ``model``; g_per_side, gamma03 and gamma30 are K-vectors (a
-    scalar is K = 1).  Returns the arrays (x0, x2).
+def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta):
+    """Newton solve of the two-density balance at K points sharing ``dyn``
+    and ``eta``; g_per_side, gamma03 and gamma30 are K-vectors (a scalar is
+    K = 1).  Returns the arrays (x0, x2).
 
     The system is quadratic, so the analytic-Jacobian Newton iteration from
     the decoupled roots converges in a handful of steps.  Each point keeps
@@ -103,13 +95,9 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
     nonnegative root (e.g. generation without any loss channel), a singular
     Jacobian, or does not converge.
     """
-    if model not in ("full", "reduced"):
-        raise ValueError("model must be 'full' or 'reduced'")
     em = math.exp(-eta)
-    a = 1.0 + em if model == "full" else 1.0
-    b = 1.0 + em * em if model == "full" else 1.0
-    s_eff = a * dyn.s
-    r_eff = b * dyn.r
+    s_eff = (1.0 + em) * dyn.s
+    r_eff = (1.0 + em * em) * dyn.r
     g, g03, g30 = (np.array(v, dtype=float, ndmin=1)
                    for v in (g_per_side, gamma03, gamma30))
     t30 = g30 * em
@@ -130,7 +118,7 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
         if newton_step == _NEWTON_STEPS:
             raise SteadyStateError(
                 "density balance did not converge in %d Newton steps"
-                % _NEWTON_STEPS, residual=res[0])
+                % _NEWTON_STEPS)
         ym = np.maximum(y0, y2)
         scale = np.maximum(np.maximum(np.maximum(gl, s_eff * ym),
                                       np.maximum(r_eff * (ym * ym), a03)),
@@ -143,15 +131,14 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
             if n_done == y0.size:
                 return x0, x2
             live = ~done
-            idx, y0, y2, gl, c03, c30, f0, f2, res = (
-                v[live] for v in (idx, y0, y2, gl, c03, c30, f0, f2, res))
+            idx, y0, y2, gl, c03, c30, f0, f2 = (
+                v[live] for v in (idx, y0, y2, gl, c03, c30, f0, f2))
         j00 = -s_eff - 2.0 * r_eff * y0 - c03
         j22 = -s_eff - 2.0 * r_eff * y2 - c30
         det = j00 * j22 - c30 * c03
         singular = (det == 0.0) | ~np.isfinite(det)
         if np.count_nonzero(singular):
-            raise SteadyStateError("singular Jacobian in density balance",
-                                   residual=res[singular.argmax()])
+            raise SteadyStateError("singular Jacobian in density balance")
         # the same bits as (-f0 j22 + f2 j02) / det and (-j00 f2 + j20 f0) / det
         dx0 = (f2 * c30 - f0 * j22) / det
         dx2 = (c03 * f0 - j00 * f2) / det
@@ -168,21 +155,24 @@ def solve_balance(g_per_side, dyn: DynamicsParams, gamma03, gamma30, eta,
         y0, y2 = n0, n2
 
 
-def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
-                  rho, model):
-    """One solve_balance over the K points of a DiluteTables batch and their
-    junction-summed (K, 2, 2) ``gamma_p``; returns the arrays (x0, x2,
-    Gamma_N) of shapes (K,), (K,) and (K, 2, 2).
-
-    Generation per side is rho-weighted Gamma_P per Cooper pair plus
-    g_other; the per-QP tunneling rates and Gamma_N come from the tables.
-    """
+def _balance_inputs(params: DeviceParams, tables, gamma_p, rho, g_other):
+    """K-vectors G = rho-weighted Gamma_P / N_CP + g_other, gamma03 and
+    gamma30, and eta, of a DiluteTables batch and its (K, 2, 2) gamma_p."""
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
                                   params.dos_fermi)
-    x0, x2 = solve_balance(rho_weighted(gamma_p, rho) / n_cp_low + dyn.g_other,
-                           dyn, tables.per_qp(rho, n_cp_low, "low_to_high"),
-                           tables.per_qp(rho, n_cp_low, "high_to_low"),
-                           tables.eta, model)
+    return (rho_weighted(gamma_p, rho) / n_cp_low + g_other,
+            tables.per_qp(rho, n_cp_low, "low_to_high"),
+            tables.per_qp(rho, n_cp_low, "high_to_low"), tables.eta)
+
+
+def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
+                  rho):
+    """One solve_balance over the K points of a DiluteTables batch and their
+    junction-summed (K, 2, 2) ``gamma_p``; returns the arrays (x0, x2,
+    Gamma_N) of shapes (K,), (K,) and (K, 2, 2)."""
+    g, g03, g30, eta = _balance_inputs(params, tables, gamma_p, rho,
+                                       dyn.g_other)
+    x0, x2 = solve_balance(g, dyn, g03, g30, eta)
     return x0, x2, tables.gamma_n(x0, x2)
 
 
@@ -198,25 +188,25 @@ class CurvePoint(ChannelTotals):
     rho: tuple
 
 
-def _gamma_p(params, points, drive, rtol):
+def _gamma_p(params, points, drive):
     """Junction-summed (K, 2, 2) Gamma_P at the K flux ``points``; one
     batched paps_unit_grid per occupied mode."""
     gamma_p = np.zeros((len(points), 2, 2))
     for mode in _drive_list(drive):
         if mode.n_bar > 0:
             gamma_p = gamma_p + mode.n_bar * paps_unit_grid(
-                params, points, mode.f_p, rtol)
+                params, points, mode.f_p)
     return gamma_p
 
 
 def curve_point(params: DeviceParams, dyn: DynamicsParams, phi, drive,
-                rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8):
+                rho=(0.5, 0.5), n_g=DEFAULT_NG):
     """Model curve at one flux point: gamma_curve at K = 1."""
-    return gamma_curve(params, dyn, drive, [phi], rho, n_g, model, rtol)[0]
+    return gamma_curve(params, dyn, drive, [phi], rho, n_g)[0]
 
 
 def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
-                rho=(0.5, 0.5), n_g=DEFAULT_NG, model="full", rtol=1e-8):
+                rho=(0.5, 0.5), n_g=DEFAULT_NG):
     """Model curve over a flux grid; returns a list of CurvePoint.
 
     The structure-factor tables for the whole grid are evaluated in batched
@@ -225,43 +215,41 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     """
     points = [flux_point(params, float(p), n_g)
               for p in np.asarray(flux_grid, dtype=float)]
-    tables = dilute_tables_grid(params, points, rtol)
-    gamma_p = _gamma_p(params, points, drive, rtol)
-    x0, x2, gamma_n = balance_curve(params, dyn, tables, gamma_p, rho, model)
+    tables = dilute_tables_grid(params, points)
+    gamma_p = _gamma_p(params, points, drive)
+    x0, x2, gamma_n = balance_curve(params, dyn, tables, gamma_p, rho)
     return [CurvePoint(phi=pt.phi, fq=pt.fq,
                        state=_qp_state(params, x0[k], x2[k], tables.eta),
                        gamma_n=gamma_n[k], gamma_p=gamma_p[k], rho=tuple(rho))
             for k, pt in enumerate(points)]
 
 
-def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0,
-                               g_other=0.0, r=1.0 / 120e-9, rho=(0.5, 0.5),
-                               n_g=DEFAULT_NG, model="full", rtol=1e-8):
-    """Trapping rate s that makes x0(phi) equal target_x0.
+def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0):
+    """Trapping rate s that makes x0(phi) equal target_x0, with g_other = 0,
+    the default r and rho = (1/2, 1/2).
 
-    x0 decreases monotonically with s; bisection between 0 and _S_MAX, each
-    step solving only the balance (tables and Gamma_P do not depend on s).
-    Raises SteadyStateError when the target is unreachable (x0 at s = 0
-    already below target, i.e. tunneling drain exceeds generation).
+    Eliminating s from the balance leaves (t + b r x0) x2^2 + (G - b r x0^2
+    - gamma03 x0 + t x0) x2 - (G x0 + gamma03 x0^2) = 0, t = gamma30 e^-eta;
+    its one positive root gives s = (G - b r x0^2 - gamma03 x0 + t x2) /
+    (a x0).  s < 0 means the target is unreachable (SteadyStateError): x0
+    at s = 0 is already below it.  A target that is not finite and positive
+    is a ValueError.
     """
-    from scipy.optimize import brentq
-
-    tables = dilute_tables(params, phi, n_g, rtol)
-    gamma_p = _gamma_p(params, tables.points, drive, rtol)
-
-    def x0_at(s):
-        dyn = DynamicsParams(s=s, r=r, g_other=g_other)
-        return balance_curve(params, dyn, tables, gamma_p, rho, model)[0][0]
-
-    lo = x0_at(0.0)
-    if lo < target_x0:
-        raise SteadyStateError(
-            "target x0 = %g unreachable: x0(s=0) = %g; the tunneling drain "
-            "already exceeds generation at zero trapping" % (target_x0, lo)
-        )
-    hi = x0_at(_S_MAX)
-    if hi > target_x0:
-        raise SteadyStateError("target x0 = %g below x0(s=%g) = %g"
-                               % (target_x0, _S_MAX, hi))
-    return brentq(lambda s: x0_at(s) - target_x0, 0.0, _S_MAX, xtol=1e-10,
-                  rtol=1e-12)
+    if not (math.isfinite(target_x0) and target_x0 > 0):
+        raise ValueError("target_x0 must be finite and positive, got %r"
+                         % target_x0)
+    tables = dilute_tables(params, phi)
+    g, g03, g30, eta = _balance_inputs(params, tables, _gamma_p(
+        params, tables.points, drive), (0.5, 0.5), 0.0)
+    x0, em = target_x0, math.exp(-eta)
+    t30, br = g30[0] * em, (1.0 + em * em) * DynamicsParams.r
+    lin = g[0] - br * x0 * x0 - g03[0] * x0
+    qa, qb, qc = t30 + br * x0, lin + t30 * x0, (g[0] + g03[0] * x0) * x0
+    disc = math.sqrt(qb * qb + 4.0 * qa * qc)
+    # the root in which -qb and the square root do not cancel
+    x2 = 2.0 * qc / (qb + disc) if qb > 0 else (disc - qb) / (2.0 * qa)
+    s = float((lin + t30 * x2) / ((1.0 + em) * x0))
+    if s < 0:
+        raise SteadyStateError("target x0 = %g unreachable: it needs trapping "
+                               "rate s = %g < 0" % (target_x0, s))
+    return s

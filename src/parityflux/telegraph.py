@@ -81,11 +81,13 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     gamma is a rate in 1/s or a callable t -> rate.  Bursts (list of
     BurstEvent) multiply the rate by amplitude * exp(-t/decay) from onset.
     cluster labels start at 0 and increment at each ng_jump burst.  Rates
-    must be finite and nonnegative, and dt finite and positive (ValueError
-    otherwise).
+    must be finite and nonnegative, dt finite and positive and n at least 2
+    (ValueError otherwise).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive, got %r" % dt)
+    if n < 2:
+        raise ValueError("n must be at least 2 samples, got %r" % n)
     rng = np.random.default_rng(seed)
     rates = _rate_schedule(gamma, n, dt, bursts)
     if not (np.isfinite(rates).all() and (rates >= 0).all()):

@@ -1,9 +1,14 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from parityflux.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 CFG = """\
@@ -288,7 +293,7 @@ def test_fit_staged_needs_no_bind_or_init(cfg, tmp_path, capsys,
             covariance=np.eye(1), pseudo_r2=1.0,
             residuals=[np.zeros(ds.phi.size) for ds in datasets],
             model_curves=[ds.gamma for ds in datasets], iterations=0,
-            final_damping=0.0, jacobian_check=0.0)
+            termination="ftol", jacobian_check=0.0)
 
     monkeypatch.setattr(cli, "fit_lamp_series", staged_fit)
     paths = []
@@ -412,6 +417,41 @@ def test_lamp_cli_rejects_bad_t_mc(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_one_row_fits_name_the_counts(tmp_path, capsys):
+    out = str(tmp_path / "o.txt")
+    lamp = tmp_path / "lamp.csv"
+    lamp.write_text("p_lamp_uw,gamma_per_s\n1.4,32\n")
+    assert run(["lamp", "--data", str(lamp), "--out", out]) == 1
+    assert ("too few data points: 1 residuals for 3 parameters (k_agg, a, b)"
+            in capsys.readouterr().err)
+    thermal = tmp_path / "thermal.csv"
+    thermal.write_text("t_kelvin,gamma_per_s\n0.15,400\n")
+    assert run(["thermal-fit", "--data", str(thermal), "--out", out]) == 1
+    assert ("too few data points: 1 residuals for 2 parameters "
+            "(gap_mean, offset)" in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode,temp", [("qp_background", "0"),
+                                       ("paps_offset", "-0.05")])
+def test_thermal_fit_nonpositive_temperature(tmp_path, mode, temp):
+    # a subprocess, so that any numpy RuntimeWarning would reach stderr
+    thermal = tmp_path / "thermal.csv"
+    thermal.write_text("t_kelvin,gamma_per_s\n0.12,270\n%s,250\n"
+                       "0.16,3900\n" % temp)
+    out = str(tmp_path / "o.txt")
+    proc = subprocess.run(
+        [sys.executable, "-m", "parityflux.cli", "thermal-fit", "--data",
+         str(thermal), "--mode", mode, "--out", out],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")))
+    assert proc.returncode == 1
+    assert "temperature %g K is not positive" % float(temp) in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not os.path.exists(out)
+
+
 def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):
     fit_data = tmp_path / "short.csv"
     fit_data.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n"
@@ -525,6 +565,7 @@ def test_make_synthetic_bad_points_or_noise_usage_error(tmp_path, capsys,
     (["conditional", "--gamma0", "130", "--gamma1", "250", "--t1", "-1"], "t1"),
     (["conditional", "--gamma0", "-130", "--gamma1", "250", "--t1", "1e-4"],
      "gamma0"),
+    (["simulate", "--gamma", "341", "--n", "-5"], "n must be at least 2"),
 ])
 def test_telegraph_negative_rate_or_time_is_error(tmp_path, capsys, argv, name):
     out = str(tmp_path / "t.out")

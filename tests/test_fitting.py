@@ -80,6 +80,40 @@ def test_lm_jacobian_check_smooth_problem():
     assert res.jacobian_check < 1e-3
 
 
+def test_lm_termination_names_each_exit(monkeypatch):
+    import parityflux.fitting as fitting
+
+    resid, truth = _quad_residual()
+    lo, hi = np.array([1e-3, 1e-3]), np.array([10.0, 10.0])
+    mask = np.array([True, True])
+    res = lm_least_squares(resid, np.array([1.0, 1.0]), lo, hi, mask)
+    assert res.termination in ("ftol", "xtol")
+    # a kink minimum with a nonzero residual: every trial step costs more
+    res = lm_least_squares(lambda p: np.array([1.0 + abs(p[0] - 0.5)]),
+                           np.array([0.5]), np.array([0.0]), np.array([1.0]),
+                           np.array([False]))
+    assert res.termination == "no_improving_step" and res.iterations == 1
+    monkeypatch.setattr(fitting, "_LM_MAX_ITER", 1)
+    res = lm_least_squares(resid, np.array([1.0, 1.0]), lo, hi, mask)
+    assert res.termination == "max_iter" and res.iterations == 1
+
+
+def test_lm_too_few_residuals_names_both_counts():
+    calls = []
+
+    def resid(p):
+        calls.append(p)
+        return np.array([p[0] - 1.0])
+
+    with pytest.raises(ValueError, match=r"1 residuals for 2 parameters "
+                                         r"\(a, b\)"):
+        lm_least_squares(resid, np.array([2.0, 2.0]), np.array([0.0, 0.0]),
+                         np.array([5.0, 5.0]), np.array([False, False]),
+                         names=["a", "b"])
+    # only the evaluation at the start that gives the residual count
+    assert len(calls) == 1
+
+
 def test_lm_nan_start_is_outside_bounds():
     resid, _ = _quad_residual()
     with pytest.raises(ValueError, match="outside bounds"):

@@ -35,9 +35,8 @@ def _breakdown(x0, x3, phi, rtol=1e-8):
     return _flat(br.gamma_n, br.gamma_p, br.gamma_total)
 
 
-def _curve_point(phi, drive, rho=(0.5, 0.5), model="full"):
-    cp = curve_point(DeviceParams(), DynamicsParams(), phi, drive, rho,
-                     model=model)
+def _curve_point(phi, drive):
+    cp = curve_point(DeviceParams(), DynamicsParams(), phi, drive)
     st = cp.state
     return _flat([st.x0, st.x1, st.x2, st.x3, st.mu_left, st.mu_right],
                  cp.gamma_n, cp.gamma_p, cp.gamma_total)
@@ -65,9 +64,6 @@ CASES = {
     "rate_breakdown_pauli": lambda: _breakdown(2e-5, 1.5e-5, 0.3),
     "curve_point_resonance": lambda: _curve_point(
         0.145, PhotonDrive(109.0, 2.1e-3)),
-    "curve_point_two_modes_reduced": lambda: _curve_point(
-        0.4, [PhotonDrive(109.0, 2.1e-3), PhotonDrive(130.0, 4e-4)],
-        rho=(0.4, 0.6), model="reduced"),
     "dilute_tables_zero_flux": lambda: _tables(0.0, 4.844),
     "dilute_tables_resonance": lambda: _tables(0.145, 4.86),
     # PAPS rates per unit n_bar at one flux point each; the second half was
@@ -124,23 +120,6 @@ GOLDEN = {
         148.13938866761004,
         147.5729476776891,
         482.43379920610346,
-    ],
-    'curve_point_two_modes_reduced': [
-        1.3251398906699565e-08,
-        1.267671215014955e-10,
-        1.399916029689728e-08,
-        1.3392044619368302e-10,
-        31.582695952064896,
-        31.639886455798848,
-        6.920223183515306,
-        2.0036299024869617,
-        72.47139010039021,
-        5.548200096842701,
-        605.5070825644002,
-        165.02165128038322,
-        178.67637379903636,
-        485.45603044770445,
-        757.0722314386985,
     ],
     'dilute_tables_zero_flux': [
         5.3078847799860175e-14,

@@ -5,13 +5,13 @@ import pytest
 
 from parityflux import FilmState, PhotonDrive, rates
 from parityflux.constants import KB_GHZ_PER_K
+from parityflux.device import cooper_pair_number
 from parityflux.rates import (TRANSITIONS, FluxPoint, blackbody_weights,
                               dilute_tables, dilute_tables_grid,
                               effective_single_frequency, flux_point,
                               nups_prefactor_per_s, nups_rates,
                               paps_flux_profile, paps_prefactor_per_s,
-                              paps_rates, paps_unit_grid, per_qp_tunneling,
-                              rate_breakdown)
+                              paps_rates, paps_unit_grid, rate_breakdown)
 from parityflux.spectrum import Junction, charge_matrix_elements
 from parityflux.superconductor import nups_integral_grid, paps_integral_grid
 
@@ -132,13 +132,21 @@ def test_per_qp_dilute_linearity(device):
     assert vals[0] == pytest.approx(vals[1], rel=1e-6)
 
 
+def _per_qp(device, phi):
+    """gamma03 and gamma30 of the density balance at one flux point."""
+    n_cp = cooper_pair_number(device.gap_low, device.volume_low,
+                              device.dos_fermi)
+    tables = dilute_tables(device, phi)
+    return [tables.per_qp((0.5, 0.5), n_cp, d)[0]
+            for d in ("low_to_high", "high_to_low")]
+
+
 def test_per_qp_imbalance_peaks_at_resonance(device):
     grid = np.linspace(0.05, 0.35, 13)
     ratios = []
     em = math.exp(-device.gap_diff / (KB_GHZ_PER_K * device.t_ph))
     for phi in grid:
-        g03 = per_qp_tunneling(device, phi, "low_to_high")
-        g30 = per_qp_tunneling(device, phi, "high_to_low")
+        g03, g30 = _per_qp(device, phi)
         ratios.append(g03 / (g30 * em))
     kpeak = int(np.argmax(ratios))
     # resonance flux: diagonalized fq equals the gap difference
@@ -150,11 +158,8 @@ def test_per_qp_imbalance_peaks_at_resonance(device):
 
 def test_per_qp_symmetric_films(device):
     sym = device.with_(gap_diff=0.0)
-    g03 = per_qp_tunneling(sym, 0.2, "low_to_high")
-    g30 = per_qp_tunneling(sym, 0.2, "high_to_low")
+    g03, g30 = _per_qp(sym, 0.2)
     assert g03 == pytest.approx(g30, rel=1e-8)
-    with pytest.raises(ValueError):
-        per_qp_tunneling(device, 0.2, "sideways")
 
 
 def test_grid_tables_match_pointwise(device):

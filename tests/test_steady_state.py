@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from parityflux import DynamicsParams, PhotonDrive, SteadyStateError
+from parityflux import (DeviceParams, DynamicsParams, PhotonDrive,
+                        SteadyStateError)
 from parityflux.constants import KB_GHZ_PER_K
 from parityflux.steady_state import (curve_point, gamma_curve, solve_balance,
                                      solve_trapping_for_density)
@@ -26,7 +27,8 @@ def test_dynamics_params_defaults_and_validation():
 def test_decoupled_quadratic_root():
     # gamma = 0, single-film balance: x = (-s + sqrt(s^2 + 4 r g))/(2r)
     dyn = DynamicsParams(s=11.0, r=R_REC, g_other=8e-8)
-    x0, x2 = solve_balance(8e-8, dyn, 0.0, 0.0, eta=math.inf, model="reduced")
+    # at eta = inf the four-film factors are a = b = 1
+    x0, x2 = solve_balance(8e-8, dyn, 0.0, 0.0, eta=math.inf)
     exact = (-11.0 + math.sqrt(11.0**2 + 4 * R_REC * 8e-8)) / (2 * R_REC)
     assert x0 == pytest.approx(exact, rel=1e-12)
     assert x2 == pytest.approx(exact, rel=1e-12)
@@ -45,12 +47,12 @@ def test_residuals_vanish_at_root():
     dyn = DynamicsParams(s=11.0, r=R_REC, g_other=8e-8)
     g, g03, g30, eta = 1.1e-7, 2.5, 40.0, 4.65
     em = math.exp(-eta)
-    for model, a, b in (("full", 1 + em, 1 + em * em), ("reduced", 1.0, 1.0)):
-        x0, x2 = solve_balance(g, dyn, g03, g30, eta, model)
-        f0 = g - a * dyn.s * x0 - b * dyn.r * x0**2 - g03 * x0 + g30 * em * x2
-        f2 = g - a * dyn.s * x2 - b * dyn.r * x2**2 + g03 * x0 - g30 * em * x2
-        scale = max(g, dyn.s * x0)
-        assert abs(f0) < 1e-10 * scale and abs(f2) < 1e-10 * scale
+    a, b = 1 + em, 1 + em * em
+    x0, x2 = solve_balance(g, dyn, g03, g30, eta)
+    f0 = g - a * dyn.s * x0 - b * dyn.r * x0**2 - g03 * x0 + g30 * em * x2
+    f2 = g - a * dyn.s * x2 - b * dyn.r * x2**2 + g03 * x0 - g30 * em * x2
+    scale = max(g, dyn.s * x0)
+    assert abs(f0) < 1e-10 * scale and abs(f2) < 1e-10 * scale
 
 
 def test_divergence_detected_without_losses():
@@ -80,17 +82,6 @@ def test_thermalization_constraint(device):
     assert st.x1 == pytest.approx(st.x0 * em, rel=1e-12)
     assert st.x3 == pytest.approx(st.x2 * em, rel=1e-12)
     assert st.mu_left < device.gap_low and st.mu_right < device.gap_low
-
-
-def test_full_vs_reduced_within_eta(device):
-    drive = PhotonDrive(109.0, 2.1e-3)
-    dyn = DynamicsParams()
-    em = math.exp(-device.gap_diff / (KB_GHZ_PER_K * device.t_ph))
-    for phi in (0.0, 0.145, 0.4):
-        full = curve_point(device, dyn, phi, drive, model="full").state
-        red = curve_point(device, dyn, phi, drive, model="reduced").state
-        assert abs(full.x0 - red.x0) / red.x0 < 2.5 * em
-        assert abs(full.x2 - red.x2) / red.x2 < 2.5 * em
 
 
 def test_pumping_imbalance_near_resonance(device):
@@ -140,10 +131,13 @@ def test_solve_trapping_for_density(device_early):
     assert st.x0 == pytest.approx(6.2e-9, rel=1e-6)
     with pytest.raises(SteadyStateError, match="unreachable"):
         solve_trapping_for_density(device_early, 0.0, drive, 1e-6)
+    for bad in (0.0, -6.2e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_x0 must be finite and "
+                                             "positive, got %r" % bad):
+            solve_trapping_for_density(device_early, 0.0, drive, bad)
 
 
 def test_solve_trapping_computes_gamma_p_once(device_early, monkeypatch):
-    # the package's steady_state attribute is the function, not the module
     ss = importlib.import_module("parityflux.steady_state")
     calls = {"paps_unit_grid": 0, "mu_from_xqp": 0}
 
@@ -222,21 +216,20 @@ def test_batched_balance_matches_scalar_reference(device):
                             rho) / n_cp
     cases = [(s, R_REC, g_other, g_photon)
              for s in (0.0, 3.0, 11.0, 40.0, 1e3)
-             for g_other in (0.0, 8e-8, 1e-6)]
+             for g_other in (0.0, 8e-8, 2e-7, 1e-6)]
     # no generation at all, and no recombination (the linear root)
     cases += [(11.0, R_REC, 0.0, 0.0 * g_photon), (11.0, 0.0, 8e-8, g_photon)]
     compared = 0
     for s, r, g_other, g_p in cases:
         dyn = DynamicsParams(s=s, r=r, g_other=g_other)
         g = g_p + g_other
-        for model in ("full", "reduced"):
-            x0, x2 = solve_balance(g, dyn, g03, g30, tables.eta, model)
-            ref = np.array([_scalar_solve_balance(gk, dyn, a, b, tables.eta,
-                                                  model)
-                            for gk, a, b in zip(g, g03, g30)])
-            assert np.array_equal(x0, ref[:, 0])
-            assert np.array_equal(x2, ref[:, 1])
-            compared += g.size
+        x0, x2 = solve_balance(g, dyn, g03, g30, tables.eta)
+        ref = np.array([_scalar_solve_balance(gk, dyn, a, b, tables.eta,
+                                              "full")
+                        for gk, a, b in zip(g, g03, g30)])
+        assert np.array_equal(x0, ref[:, 0])
+        assert np.array_equal(x2, ref[:, 1])
+        compared += g.size
     assert compared >= 1000
 
 
@@ -270,3 +263,50 @@ def test_batched_balance_errors_name_any_point():
     x0, x2 = solve_balance([0.0], dyn, [0.0], [0.0], eta=5.0)
     assert x0.shape == x2.shape == (1,)
     assert x0[0] == 0.0 and x2[0] == 0.0
+
+
+def _bracketed_trapping(params, phi, drive, target_x0):
+    """The bracketed solve that the closed form replaced, kept as the
+    reference for its numbers: brentq on the monotone x0(s) over
+    [0, 1e4].  Returns None where the target is unreachable."""
+    from scipy.optimize import brentq
+    from parityflux.rates import dilute_tables
+
+    ss = importlib.import_module("parityflux.steady_state")
+    tables = dilute_tables(params, phi)
+    gamma_p = ss._gamma_p(params, tables.points, drive)
+
+    def x0_at(s):
+        dyn = DynamicsParams(s=s, r=R_REC, g_other=0.0)
+        return ss.balance_curve(params, dyn, tables, gamma_p,
+                                (0.5, 0.5))[0][0]
+
+    if x0_at(0.0) < target_x0:
+        return None
+    assert x0_at(1e4) <= target_x0
+    return brentq(lambda s: x0_at(s) - target_x0, 0.0, 1e4, xtol=1e-10,
+                  rtol=1e-12)
+
+
+def test_closed_form_trapping_matches_bracketed_solve():
+    drives = (PhotonDrive(112.0, 1.9e-3), PhotonDrive(109.0, 2.1e-3),
+              [PhotonDrive(109.0, 2.1e-3), PhotonDrive(125.0, 12.8e-3)])
+    reachable = unreachable = 0
+    for gap_diff in (4.5, 4.844, 4.86, 5.2):
+        params = DeviceParams(gap_diff=gap_diff)
+        for drive in drives:
+            for phi in (0.0, 0.145, 0.4):
+                for target in (3e-9, 6.2e-9, 2e-8):
+                    ref = _bracketed_trapping(params, phi, drive, target)
+                    if ref is None:
+                        unreachable += 1
+                        with pytest.raises(SteadyStateError,
+                                           match="unreachable"):
+                            solve_trapping_for_density(params, phi, drive,
+                                                       target)
+                        continue
+                    reachable += 1
+                    s = solve_trapping_for_density(params, phi, drive, target)
+                    # brentq stops within its xtol = 1e-10 of the root
+                    assert s == pytest.approx(ref, rel=2e-11, abs=0.0)
+    assert reachable >= 90 and unreachable > 0

@@ -28,6 +28,14 @@ def test_simulate_rejects_non_finite_rate_and_bad_dt():
             simulate_trace(341.0, 1000, dt=dt, seed=1)
 
 
+def test_simulate_rejects_too_few_samples():
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match="n must be at least 2 samples, "
+                                             "got %d" % n):
+            simulate_trace(341.0, n, seed=1)
+    assert simulate_trace(341.0, 2, seed=1).samples.size == 2
+
+
 def test_simulate_rejects_negative_rate():
     for gamma in (-5.0, lambda t: np.where(t > 1e-3, -1.0, 341.0)):
         with pytest.raises(ValueError, match="gamma: switching rate must be "
