@@ -379,11 +379,15 @@ def cmd_lamp(args):
 
 def _parse_burst(spec):
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise UsageError("--burst expects onset:amplitude:decay[:ng], got %r" % spec)
-    return BurstEvent(onset_index=int(parts[0]), amplitude=float(parts[1]),
-                      decay_time=float(parts[2]),
-                      ng_jump=len(parts) == 4 and parts[3] == "ng")
+    try:
+        if len(parts) not in (3, 4) or parts[3:] not in ([], ["ng"]):
+            raise ValueError
+        onset, amplitude, decay = int(parts[0]), float(parts[1]), float(parts[2])
+    except ValueError:
+        raise UsageError("--burst expects onset:amplitude:decay[:ng] with an "
+                         "integer onset, got %r" % spec) from None
+    return BurstEvent(onset_index=onset, amplitude=amplitude,
+                      decay_time=decay, ng_jump=len(parts) == 4)
 
 
 # flags each telegraph action reads; numeric ones must be finite

@@ -34,7 +34,6 @@ class Junction(Enum):
 @dataclass(frozen=True)
 class SpectrumResult:
     levels_even: np.ndarray  # GHz, relative to even ground state
-    levels_odd: np.ndarray   # GHz, relative to odd ground state
     fq_even: float
     fq_odd: float
 
@@ -51,7 +50,6 @@ class SpectrumResult:
 class ChargeMatrixElements:
     """|<i,e|cos(phi_J/2)|j,o>|^2 and the sine analogue, i, j in {0, 1}."""
 
-    junction: Junction
     m_cos: np.ndarray  # 2x2
     m_sin: np.ndarray  # 2x2
 
@@ -132,7 +130,7 @@ class Sectors:
     def spectrum(self):
         we, wo = self.w_even, self.w_odd
         k = min(N_LEVELS, len(we))
-        return SpectrumResult(levels_even=we[:k].copy(), levels_odd=wo[:k].copy(),
+        return SpectrumResult(levels_even=we[:k].copy(),
                               fq_even=float(we[1] - we[0]),
                               fq_odd=float(wo[1] - wo[0]))
 
@@ -153,7 +151,7 @@ class Sectors:
                 # cos((phi - rot)/2) = cos(rot/2) cos(phi/2) + sin(rot/2) sin(phi/2)
                 m_cos[i, j] = abs(c * amp_c + s * amp_s) ** 2
                 m_sin[i, j] = abs(c * amp_s - s * amp_c) ** 2
-        return ChargeMatrixElements(junction=junction, m_cos=m_cos, m_sin=m_sin)
+        return ChargeMatrixElements(m_cos=m_cos, m_sin=m_sin)
 
 
 def solve_sectors(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,

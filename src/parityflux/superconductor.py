@@ -16,6 +16,10 @@ u = t*umax, so every substituted gap edge sits at t = 0, and all
 components are refined together by one adaptive quadrature.  The scalar
 ``nups_integral`` and ``paps_integral`` are that path at K = 1.
 
+The module needs numpy only: the Fermi function is a numpy sigmoid, and
+``mu_from_xqp`` solves for mu with ``_brentq``, a port of scipy's brentq
+that returns the same float for the same bracket and tolerances.
+
 Sign convention: ``omega_ghz`` is the energy gained by the qubit during the
 tunneling event (positive for 0->1 excitation, negative for relaxation).
 The occupied QP therefore arrives at eps - omega, which is what detailed
@@ -26,8 +30,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .constants import thermal_energy_ghz
 from .quadrature import adaptive_quad
@@ -38,6 +40,8 @@ _TAIL_EFOLDS = 40.0
 _MB_EFOLDS = 20.0
 # Fermi-series terms in mu_from_xqp; q <= 1/e there, so e^-40 truncation
 _SERIES_TERMS = 40
+# iteration cap of the root solve in mu_from_xqp
+_BRENT_MAXITER = 100
 
 
 def dos(eps_ghz, gap_ghz, dynes=0.0):
@@ -62,13 +66,15 @@ def dos(eps_ghz, gap_ghz, dynes=0.0):
 
 
 def occupation(eps_ghz, t_kelvin, mu_ghz):
-    """Fermi function 1/(exp((eps-mu)/kT) + 1); overflow-safe."""
+    """Fermi function 1/(exp((eps-mu)/kT) + 1); overflow-safe: where the
+    exponential overflows to inf the occupation is exactly 0."""
     if t_kelvin <= 0:
         raise ValueError("temperature must be positive")
     if mu_ghz == -math.inf:
         return 0.0 * np.asarray(eps_ghz, dtype=float) if np.ndim(eps_ghz) else 0.0
     x = (np.asarray(eps_ghz, dtype=float) - mu_ghz) / thermal_energy_ghz(t_kelvin)
-    out = expit(-x)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -189,8 +195,61 @@ def mu_from_xqp(gap, t_kelvin, x_qp, dynes=0.0, rtol=1e-10):
             "x_qp = %g requires mu within 2 kT of the gap; "
             "nondegenerate treatment invalid" % x_qp
         )
-    return brentq(lambda mu: x_of(mu) - x_qp, mu_est - 4.0 * kt,
-                  mu_est + kt, xtol=1e-14, rtol=1e-13)
+    return _brentq(lambda mu: x_of(mu) - x_qp, mu_est - 4.0 * kt,
+                   mu_est + kt, xtol=1e-14, rtol=1e-13)
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f in the bracket [xa, xb] by Brent's method (Brent 1973,
+    ch. 4), step for step as scipy.optimize.brentq (Zeros/brentq.c), so
+    the same bracket and tolerances return the same float.  Stops when the
+    bracket half-width is below (xtol + rtol |x|)/2, and raises ValueError
+    after scipy's default of _BRENT_MAXITER steps."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ValueError("brentq failed to converge after %d iterations"
+                     % _BRENT_MAXITER)
 
 
 def nups_integral(omega_ghz, occupied: FilmState, empty: FilmState,

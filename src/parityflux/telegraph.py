@@ -31,6 +31,9 @@ class BurstEvent:
     ng_jump: bool = False
 
     def __post_init__(self):
+        if self.onset_index < 0:
+            raise ValueError("burst onset_index must be nonnegative, got %r"
+                             % self.onset_index)
         if self.amplitude <= 1:
             raise ValueError("burst amplitude must exceed 1")
         if self.decay_time <= 0:
@@ -81,13 +84,17 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     gamma is a rate in 1/s or a callable t -> rate.  Bursts (list of
     BurstEvent) multiply the rate by amplitude * exp(-t/decay) from onset.
     cluster labels start at 0 and increment at each ng_jump burst.  Rates
-    must be finite and nonnegative, dt finite and positive and n at least 2
-    (ValueError otherwise).
+    must be finite and nonnegative, dt finite and positive, n at least 2 and
+    every burst onset below n (ValueError otherwise).
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive, got %r" % dt)
     if n < 2:
         raise ValueError("n must be at least 2 samples, got %r" % n)
+    for b in bursts or ():
+        if b.onset_index >= n:
+            raise ValueError("burst onset_index must be below n = %d, got %r"
+                             % (n, b.onset_index))
     rng = np.random.default_rng(seed)
     rates = _rate_schedule(gamma, n, dt, bursts)
     if not (np.isfinite(rates).all() and (rates >= 0).all()):
@@ -256,7 +263,6 @@ class ConditionalProtocol:
     """Timing of the feedback protocol between two parity measurements."""
 
     tau_feedback: float = 5.376e-6   # feedback block repetition (s)
-    t_measure: float = 4e-6          # qubit measurement duration (s)
     taus: tuple = tuple(np.linspace(0.3e-3, 3.0e-3, 8))
     n_rep: int = 6000
 
@@ -389,8 +395,11 @@ def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
     consecutive windows above threshold (suppresses Poisson false alarms);
     events closer than one window are merged.  When cluster labels are
     present, an event is flagged ng_jump if the label mode changes across
-    its onset.
+    its onset.  threshold must be finite and above 1 (ValueError otherwise).
     """
+    if not (math.isfinite(threshold) and threshold > 1):
+        raise ValueError("threshold must be finite and above 1, got %r"
+                         % threshold)
     if window < 20:
         raise ValueError("window must be at least 20 samples")
     counts = _window_flip_counts(trace.samples, window)

@@ -452,6 +452,43 @@ def test_thermal_fit_nonpositive_temperature(tmp_path, mode, temp):
     assert not os.path.exists(out)
 
 
+NO_SCIPY_SCRIPT = """\
+import sys
+import parityflux.cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded(), loaded()
+data = sys.argv[1]
+jobs = [
+    ["sweep", "--flux", "0:0.5:3", "--out", "sweep.csv"],
+    ["steady-state", "--phi", "0.145", "--out", "ss.csv"],
+    ["rates", "--flux", "0:0.5:3", "--x0", "3e-5", "--x3", "2e-5",
+     "--rho1", "0.7", "--out", "rates.csv"],
+    ["spectrum", "--flux", "0:0.5:3", "--out", "spectrum.csv"],
+    ["make-synthetic", "--kind", "single", "--seed", "5", "--points", "5",
+     "--out-prefix", "syn_"],
+    ["fit", "--data", data + "/syn_single.csv", "--bind", "f_P:per,n_bar:per",
+     "--init", "f_P=120,n_bar=1.5e-3,s=2.81,gap_diff=4.86",
+     "--out", "fit.txt"],
+    ["thermal-fit", "--data", data + "/thermal.csv", "--out", "thermal.txt"],
+]
+for argv in jobs:
+    assert parityflux.cli.main(argv) == 0, argv
+    assert not loaded(), (argv, loaded())
+"""
+
+
+def test_model_commands_load_no_scipy(tmp_path):
+    # a fresh process: the model path runs on numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT,
+         os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")],
+        capture_output=True, text=True, cwd=str(tmp_path),
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):
     fit_data = tmp_path / "short.csv"
     fit_data.write_text("phi,gamma_per_s,sigma_per_s\n0.0,330,16\n"
@@ -517,6 +554,12 @@ def test_bad_data_files_name_file_and_line(cfg, tmp_path, capsys):
      "--gamma1"),
     (["conditional", "--gamma0", "130", "--gamma1", "250", "--seed", "1"],
      "--t1"),
+    (["simulate", "--gamma", "341", "--n", "1000", "--seed", "1",
+      "--burst", "0.05:10:0.01"], "--burst"),
+    (["simulate", "--gamma", "341", "--n", "1000", "--seed", "1",
+      "--burst", "100:10"], "--burst"),
+    (["simulate", "--gamma", "341", "--n", "1000", "--seed", "1",
+      "--burst", "100:10:0.01:xy"], "--burst"),
 ])
 def test_telegraph_missing_or_non_finite_flag_usage_error(tmp_path, capsys,
                                                           argv, flag):
@@ -544,6 +587,21 @@ def test_telegraph_analyze_non_positive_segmenting_is_error(tmp_path, capsys,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("threshold", ["-1", "0"])
+def test_telegraph_bursts_threshold_not_above_one_is_error(tmp_path, capsys,
+                                                          threshold):
+    trace = str(tmp_path / "tr.txt")
+    assert run(["telegraph", "simulate", "--gamma", "341", "--n", "20000",
+                "--seed", "1", "--out", trace]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "b.csv")
+    assert run(["telegraph", "bursts", "--trace", trace, "--threshold",
+                threshold, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "threshold must be finite" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--points", "0"], "--points"),
     (["--noise", "nan"], "--noise"),
@@ -566,6 +624,10 @@ def test_make_synthetic_bad_points_or_noise_usage_error(tmp_path, capsys,
     (["conditional", "--gamma0", "-130", "--gamma1", "250", "--t1", "1e-4"],
      "gamma0"),
     (["simulate", "--gamma", "341", "--n", "-5"], "n must be at least 2"),
+    (["simulate", "--gamma", "341", "--n", "1000", "--burst=-100:10:0.01"],
+     "onset_index"),
+    (["simulate", "--gamma", "341", "--n", "1000", "--burst", "1000:10:0.01"],
+     "onset_index"),
 ])
 def test_telegraph_negative_rate_or_time_is_error(tmp_path, capsys, argv, name):
     out = str(tmp_path / "t.out")

@@ -52,6 +52,32 @@ def test_occupation_midpoint_and_tail():
     assert occupation(1e6, 0.01, 0.0) == 0.0
 
 
+def test_occupation_matches_expit_without_warnings():
+    # the numpy sigmoid agrees with scipy's expit to rounding, and where
+    # exp overflows it returns exactly 0 without a RuntimeWarning
+    import warnings
+
+    from scipy.special import expit
+
+    kt = KB_GHZ_PER_K * 0.1
+    eps = np.linspace(-800.0, 800.0, 200_001) * kt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = occupation(eps, 0.1, 0.0)
+    want = expit(-(eps / kt))
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    assert np.array_equal(got == 0.0, want == 0.0)
+
+
+def test_constants_equal_scipy_si_values():
+    import scipy.constants as sc
+
+    from parityflux.constants import H_JS
+
+    assert H_JS == sc.h
+    assert KB_GHZ_PER_K == sc.k / sc.h / 1e9
+
+
 def test_occupation_gap_edge_value():
     # f(Delta_L) at mu = 0, 50 mK ~ e^{-47.4}
     x = GAP_L / (KB_GHZ_PER_K * 0.05)
@@ -117,6 +143,53 @@ def test_mu_from_xqp_degenerate_threshold_unchanged(t):
     assert GAP_L - 2.0 * kt < mu < GAP_L - kt
     with pytest.raises(ValueError, match="kT of the gap"):
         mu_from_xqp(GAP_L, t, x_crit * (1 + 1e-6), 1e-4)
+
+
+def test_mu_from_xqp_root_solver_matches_scipy_brentq(monkeypatch):
+    # the private Brent port returns scipy's float on 72 inversions
+    from scipy.optimize import brentq
+
+    import parityflux.superconductor as sc
+
+    cases = [(gap, t, x) for gap in (44.0, GAP_L)
+             for t in (0.02, 0.05, 0.08, 0.12, 0.18, 0.26)
+             for x in (1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 3e-5)]
+    got = [mu_from_xqp(gap, t, x, 1e-4) for gap, t, x in cases]
+    monkeypatch.setattr(sc, "_brentq", brentq)
+    want = [mu_from_xqp(gap, t, x, 1e-4) for gap, t, x in cases]
+    assert got == want
+
+
+def test_brentq_port_matches_scipy_on_test_functions():
+    # harder roots than the smooth density series, so that the bisection,
+    # secant and inverse-quadratic steps all run; a step that differs from
+    # scipy's changes the returned float.  The flat cubic exhausts the
+    # iteration cap at tight tolerances in both.
+    from scipy.optimize import brentq
+
+    from parityflux.superconductor import _brentq
+
+    def outcome(solve, f, a, b, xtol, rtol):
+        try:
+            return solve(f, a, b, xtol=xtol, rtol=rtol)
+        except (ValueError, RuntimeError):
+            return "raised"
+
+    funcs = [(lambda x: x ** 3 - 2 * x - 5, 0.0, 4.0),
+             (lambda x: math.exp(x) - 10.0, -3.0, 5.0),
+             (lambda x: math.cos(x) - x, 0.0, 2.0),
+             (lambda x: (x - 1.0) ** 3, -2.0, 3.5),
+             (lambda x: x ** 9 - 1e-3, 0.0, 2.0),
+             (lambda x: math.atan(50 * (x - 0.3)), -1.0, 4.0),
+             (lambda x: math.tanh(x - 2.2) + 0.1, -10.0, 10.0),
+             (lambda x: x * math.exp(-x) - 0.1, 0.0, 1.0)]
+    for f, a, b in funcs:
+        for xtol, rtol in ((1e-14, 1e-13), (2e-12, 8.9e-16), (1e-3, 1e-6),
+                           (1e-8, 1e-10)):
+            assert (outcome(_brentq, f, a, b, xtol, rtol)
+                    == outcome(brentq, f, a, b, xtol, rtol)), (a, b, xtol)
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-14, rtol=1e-13)
 
 
 def test_mu_from_xqp_one_quadrature_per_call(monkeypatch):

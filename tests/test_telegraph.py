@@ -214,6 +214,28 @@ def test_detect_bursts_window_validation():
         detect_bursts(tr, window=10)
 
 
+def test_detect_bursts_threshold_validation():
+    tr = simulate_trace(600.0, 10_000, dt=5e-6, seed=1)
+    for bad in (-1.0, 0.0, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            detect_bursts(tr, threshold=bad)
+
+
+def test_burst_onset_outside_trace_rejected():
+    with pytest.raises(ValueError, match="onset_index must be nonnegative"):
+        BurstEvent(onset_index=-100, amplitude=5.0, decay_time=1e-3)
+    for onset in (1000, 5000):
+        burst = BurstEvent(onset_index=onset, amplitude=5.0, decay_time=1e-3,
+                           ng_jump=True)
+        with pytest.raises(ValueError, match="onset_index must be below n"):
+            simulate_trace(341.0, 1000, seed=1, bursts=[burst])
+    # the last sample is a valid onset and steps the labels there only
+    tr = simulate_trace(341.0, 1000, seed=1, bursts=[
+        BurstEvent(onset_index=999, amplitude=5.0, decay_time=1e-3,
+                   ng_jump=True)])
+    assert tr.cluster_labels[-1] == 1 and not tr.cluster_labels[:-1].any()
+
+
 def test_trace_io_roundtrip(tmp_path):
     bursts = [BurstEvent(onset_index=5_000, amplitude=30.0, decay_time=1e-3,
                          ng_jump=True)]
