@@ -8,6 +8,11 @@ adding a white floor to the spectrum without biasing the fitted rate.
 Bursts multiply the switching rate by amplitude * exp(-t/decay) (floored at
 the baseline) from their onset.
 
+Flips are drawn as events, not per sample, and traces are written and
+read as byte tables (parityflux.traces, loaded on first use).  STREAM
+versions the seeded stream simulate_trace draws; write_trace records it in
+the trace header.
+
 Estimators: Lorentzian fits to averaged periodograms, exponential fits to
 the autocorrelation, the qubit-state-conditioned rate protocol (feedback
 trajectory Monte Carlo plus linear extrapolation in the measured qubit
@@ -19,6 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+STREAM = 2   # version of simulate_trace's seeded stream
+
+
+def _check_dt(dt):
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive, got %r" % dt)
 
 
 @dataclass
@@ -54,8 +66,17 @@ class JumpTrace:
         self.samples = np.asarray(self.samples, dtype=np.int8)
         if self.samples.size < 2:
             raise ValueError("trace needs at least 2 samples")
+        _check_dt(self.dt)
         if not 0.5 < self.fidelity <= 1.0:
             raise ValueError("fidelity must lie in (0.5, 1]")
+        if self.cluster_labels is not None:
+            labels = np.asarray(self.cluster_labels)
+            self.cluster_labels = labels.astype(np.int16)
+            if labels.size != self.samples.size:
+                raise ValueError("cluster_labels has %d entries for %d samples"
+                                 % (labels.size, self.samples.size))
+            if not np.array_equal(self.cluster_labels, labels):
+                raise ValueError("cluster_labels must be 16-bit integers")
 
     def __len__(self):
         return self.samples.size
@@ -65,19 +86,6 @@ class JumpTrace:
         return self.samples.size * self.dt
 
 
-def _rate_schedule(gamma, n, dt, bursts):
-    """Per-sample switching rate; bursts multiply the baseline."""
-    if callable(gamma):
-        rates = np.asarray(gamma(np.arange(n) * dt), dtype=float)
-    else:
-        rates = np.full(n, float(gamma))
-    for b in bursts or ():
-        idx = np.arange(b.onset_index, n)
-        envelope = b.amplitude * np.exp(-(idx - b.onset_index) * dt / b.decay_time)
-        rates[idx] *= np.maximum(envelope, 1.0)
-    return rates
-
-
 def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     """Simulate a parity jump trace; deterministic given the seed.
 
@@ -85,32 +93,34 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     BurstEvent) multiply the rate by amplitude * exp(-t/decay) from onset.
     cluster labels start at 0 and increment at each ng_jump burst.  Rates
     must be finite and nonnegative, dt finite and positive, n at least 2 and
-    every burst onset below n (ValueError otherwise).
+    every burst onset below n (ValueError otherwise).  Flip positions are
+    drawn as events (parityflux.traces); the seeded stream is version
+    STREAM.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be finite and positive, got %r" % dt)
+    from .traces import flip_indices
+
+    _check_dt(dt)
     if n < 2:
         raise ValueError("n must be at least 2 samples, got %r" % n)
-    for b in bursts or ():
+    bursts = list(bursts or ())
+    for b in bursts:
         if b.onset_index >= n:
             raise ValueError("burst onset_index must be below n = %d, got %r"
                              % (n, b.onset_index))
     rng = np.random.default_rng(seed)
-    rates = _rate_schedule(gamma, n, dt, bursts)
-    if not (np.isfinite(rates).all() and (rates >= 0).all()):
-        raise ValueError("gamma: switching rate must be finite and nonnegative")
-    p_flip = 0.5 * (1.0 - np.exp(-2.0 * rates * dt))
-    flips = rng.random(n) < p_flip
-    hidden = np.where(np.cumsum(flips) % 2 == 0, 1, -1).astype(np.int8)
+    flips = flip_indices(rng, gamma, n, dt, bursts)
+    levels = np.ones(flips.size + 1, dtype=np.int8)
+    levels[1::2] = -1
+    hidden = np.repeat(levels, np.diff(flips, prepend=0, append=n))
     if fidelity < 1.0:
         errors = rng.random(n) > fidelity
         samples = np.where(errors, -hidden, hidden).astype(np.int8)
     else:
         samples = hidden.copy()
     labels = None
-    if bursts and any(b.ng_jump for b in bursts):
+    if any(b.ng_jump for b in bursts):
         labels = np.zeros(n, dtype=np.int16)
-        for b in sorted(bursts, key=lambda b: b.onset_index):
+        for b in bursts:
             if b.ng_jump:
                 labels[b.onset_index:] += 1
     return JumpTrace(samples=samples, dt=dt, fidelity=fidelity,
@@ -128,6 +138,13 @@ def _lorentzian(f, a, gamma, c):
     return a / (1.0 + (math.pi * f / gamma) ** 2) + c
 
 
+def _lorentzian_jac(f, a, gamma, c):
+    """Jacobian of _lorentzian in (a, gamma, c), one row per frequency."""
+    u = (math.pi * f / gamma) ** 2
+    g = 1.0 / (1.0 + u)
+    return np.column_stack((g, 2.0 * a * u * g * g / gamma, np.ones_like(f)))
+
+
 def _fit_lorentzian(freqs, psd, n_avg):
     from scipy.optimize import curve_fit
 
@@ -143,7 +160,7 @@ def _fit_lorentzian(freqs, psd, n_avg):
     sigma = (np.abs(psd) + 1e-300) / math.sqrt(n_avg)
     for _ in range(3):
         popt, pcov = curve_fit(
-            _lorentzian, freqs, psd, p0=popt, sigma=sigma,
+            _lorentzian, freqs, psd, p0=popt, sigma=sigma, jac=_lorentzian_jac,
             bounds=([0, freqs[1] * 0.1, 0], [np.inf, freqs[-1] * 10, np.inf]),
             maxfev=20000,
         )
@@ -381,9 +398,10 @@ def conditional_rates(gamma0, gamma1, t1, thetas=None,
 # burst detection
 
 def _window_flip_counts(samples, window):
-    flips = (samples[1:] != samples[:-1]).astype(np.int64)
-    n_win = flips.size // window
-    return flips[: n_win * window].reshape(n_win, window).sum(axis=1)
+    """Flips (sample j+1 != sample j) per whole window of flip positions j."""
+    span = (samples.size - 1) // window * window
+    flips = np.flatnonzero(samples[1:span + 1] != samples[:span])
+    return np.bincount(flips // window, minlength=span // window)
 
 
 def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
@@ -444,46 +462,31 @@ def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
 # trace text format
 
 def write_trace(path, trace: JumpTrace):
-    """Compact text format: header comments then one sample per line."""
-    with open(path, "w") as fh:
-        fh.write("# dt=%.12g\n" % trace.dt)
-        fh.write("# fidelity=%.12g\n" % trace.fidelity)
-        if trace.cluster_labels is not None:
-            for s, lab in zip(trace.samples, trace.cluster_labels):
-                fh.write("%+d %d\n" % (s, lab))
-        else:
-            for s in trace.samples:
-                fh.write("%+d\n" % s)
+    """Compact text format: header comments (dt, fidelity, the simulator's
+    stream version) then one sample per line, "%+d" or "%+d %d" with the
+    cluster label; the body is written in one call (traces.record_table)."""
+    from .traces import record_table
 
-
-_SAMPLES = {"+1": 1, "1": 1, "-1": -1}
+    records = record_table(trace.samples, trace.cluster_labels)
+    with open(path, "wb") as fh:
+        fh.write(b"# dt=%.12g\n# fidelity=%.12g\n# stream=%d\n"
+                 % (trace.dt, trace.fidelity, STREAM))
+        fh.write(records)
 
 
 def read_trace(path):
-    """Read the write_trace format; a sample other than +1 or -1 raises
-    ValueError naming its line."""
-    dt, fidelity = 10e-6, 1.0
-    samples, labels = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("dt="):
-                    dt = float(body[3:])
-                elif body.startswith("fidelity="):
-                    fidelity = float(body[9:])
-                continue
-            parts = line.split()
-            sample = _SAMPLES.get(parts[0])
-            if sample is None:
-                raise ValueError("%s line %d: trace sample %r is not +1 or -1"
-                                 % (path, lineno, parts[0]))
-            samples.append(sample)
-            if len(parts) > 1:
-                labels.append(int(parts[1]))
-    lab = np.asarray(labels, dtype=np.int16) if labels else None
-    return JumpTrace(samples=np.asarray(samples, dtype=np.int8), dt=dt,
-                     fidelity=fidelity, cluster_labels=lab)
+    """Read the write_trace format; a sample other than +1 or -1, an
+    unparsable dt= or fidelity= value and a cluster label that is not a
+    16-bit integer raise ValueError naming the file and line.
+
+    The file is read once as bytes.  After the leading comment lines, a
+    body of fixed-width records is checked and converted with numpy; any
+    other body (blank lines, unsigned samples, CRLF line ends, labels of
+    varying width, no final newline) goes through the line-by-line reader.
+    """
+    from .traces import parse_trace
+
+    with open(path, "rb") as fh:
+        samples, labels, meta = parse_trace(fh.read(), path)
+    return JumpTrace(samples=samples, dt=meta["dt"], fidelity=meta["fidelity"],
+                     cluster_labels=labels)

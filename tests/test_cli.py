@@ -471,6 +471,9 @@ jobs = [
      "--init", "f_P=120,n_bar=1.5e-3,s=2.81,gap_diff=4.86",
      "--out", "fit.txt"],
     ["thermal-fit", "--data", data + "/thermal.csv", "--out", "thermal.txt"],
+    ["telegraph", "simulate", "--gamma", "600", "--n", "20000", "--dt", "5e-6",
+     "--seed", "3", "--burst", "5000:50:0.003", "--out", "trace.txt"],
+    ["telegraph", "bursts", "--trace", "trace.txt", "--out", "bursts.csv"],
 ]
 for argv in jobs:
     assert parityflux.cli.main(argv) == 0, argv
@@ -634,4 +637,46 @@ def test_telegraph_negative_rate_or_time_is_error(tmp_path, capsys, argv, name):
     assert run(["telegraph"] + argv + ["--seed", "1", "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err and "must be" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("# dt=0", "dt must be finite and positive, got 0.0"),
+    ("# dt=-1e-5", "dt must be finite and positive, got -1e-05"),
+    ("# dt=nan", "dt must be finite and positive, got nan"),
+    ("# dt=abc", "line 1: dt value 'abc' is not a number"),
+    ("# dt=1e-05\n# fidelity=0.9x", "line 2: fidelity value '0.9x' is not a "
+                                     "number"),
+])
+@pytest.mark.parametrize("action", ["analyze", "bursts"])
+def test_telegraph_bad_trace_header_is_error(tmp_path, header, message,
+                                             action):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(header + "\n" + "+1\n-1\n" * 50)
+    out = str(tmp_path / "o.txt")
+    proc = subprocess.run(
+        [sys.executable, "-m", "parityflux.cli", "telegraph", action,
+         "--trace", str(trace), "--segment-len", "20", "--n-avg", "1",
+         "--out", out],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    if "line" in message:
+        assert str(trace) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("label", ["x", "1.5", "40000"])
+def test_telegraph_bad_cluster_label_names_line(tmp_path, capsys, label):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("# dt=1e-05\n" + "+1 0\n-1 0\n" * 20 + "+1 %s\n" % label)
+    out = str(tmp_path / "o.txt")
+    assert run(["telegraph", "bursts", "--trace", str(trace),
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "%s line 42: cluster label %r" % (trace, label) in err
     assert not os.path.exists(out)

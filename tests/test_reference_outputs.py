@@ -21,6 +21,14 @@ s_min is 1.9 (single fit), 212 (staged fit) and 1.9 (both thermal fits),
 and 2 |m/sigma| is at most 1056 (staged fit).  With eps = 1e-12, the bound
 the curves hold, the largest move is 1.06e-9, rounded up to 1e-8.
 
+That derivation holds the LM path fixed.  The fits stop on their xtol or
+ftol test, a second source of movement: a change at rounding level can end
+a fit one iteration earlier or later and move the reported numbers by the
+size of the last step.  A change of at most 4.2e-16 in the Fermi
+occupation took the staged fit from 11 to 10 iterations and moved its
+residuals by up to 1.8e-8 sigma, past FIT_RTOL.  Such a change regenerates
+the files it moves, under the rule below.
+
 Regenerate a reference file only with a change that is meant to move the
 numbers, and say so in CHANGES.md.
 """

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from parityflux import telegraph
 from parityflux.telegraph import (BandwidthError, BurstEvent,
                                   ConditionalProtocol, JumpTrace,
                                   autocorrelation_gamma, conditional_rates,
@@ -17,6 +18,16 @@ def test_trace_validation():
         JumpTrace(samples=np.array([1, -1]), fidelity=0.4)
     with pytest.raises(ValueError):
         BurstEvent(onset_index=0, amplitude=0.5, decay_time=1e-3)
+    for dt in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            JumpTrace(samples=np.array([1, -1]), dt=dt)
+    with pytest.raises(ValueError, match="cluster_labels has 1 entries for 2"):
+        JumpTrace(samples=np.array([1, -1]), cluster_labels=np.array([0]))
+    for labels in ([0, 70000], [0, 1.5]):
+        with pytest.raises(ValueError, match="cluster_labels must be 16-bit"):
+            JumpTrace(samples=np.array([1, -1]), cluster_labels=labels)
+    tr = JumpTrace(samples=[1, -1], cluster_labels=np.array([-3, 7]))
+    assert tr.cluster_labels.dtype == np.int16
 
 
 def test_simulate_rejects_non_finite_rate_and_bad_dt():
@@ -255,3 +266,228 @@ def test_read_trace_rejects_non_unit_samples(tmp_path):
         path.write_text("# dt=1e-05\n+1\n-1\n\n%s\n+1\n" % bad)
         with pytest.raises(ValueError, match="line 5: trace sample"):
             read_trace(path)
+
+
+def _dense_flip_prob(gamma, n, dt, bursts):
+    """Per-sample flip probability, written out sample by sample."""
+    t = np.arange(n) * dt
+    rates = (np.asarray(gamma(t), dtype=float) if callable(gamma)
+             else np.full(n, float(gamma)))
+    for b in bursts:
+        idx = np.arange(b.onset_index, n)
+        envelope = b.amplitude * np.exp(-(idx - b.onset_index) * dt
+                                        / b.decay_time)
+        rates[idx] *= np.maximum(envelope, 1.0)
+    return 0.5 * (1.0 - np.exp(-2.0 * rates * dt))
+
+
+@pytest.mark.parametrize("gamma, bursts", [
+    (600.0, [BurstEvent(onset_index=2_000, amplitude=50.0, decay_time=3e-3),
+             BurstEvent(onset_index=3_000, amplitude=20.0, decay_time=1e-3),
+             BurstEvent(onset_index=30_000, amplitude=5.0, decay_time=2e-3)]),
+    (lambda t: 400.0 * (1.0 + 0.8 * np.sin(2 * np.pi * t / 0.05)), []),
+    (lambda t: np.where(t < 0.1, 0.0, 900.0),
+     [BurstEvent(onset_index=10_000, amplitude=30.0, decay_time=2e-3)]),
+])
+def test_event_sampler_flip_counts_match_dense_law(gamma, bursts):
+    # every sample flips independently with its own p_i: over many seeds the
+    # flip count of each region matches the sum of p_i within 4 sigma
+    n, dt, seeds = 40_000, 5e-6, 300
+    p = _dense_flip_prob(gamma, n, dt, bursts)
+    edges = [0] + sorted({b.onset_index for b in bursts}) + [n]
+    for b in bursts:    # the first 2 ms of each burst envelope on its own
+        edges.append(b.onset_index + 400)
+    edges = sorted(set(edges))
+    counts = np.zeros(len(edges) - 1)
+    for seed in range(seeds):
+        tr = simulate_trace(gamma, n, dt=dt, seed=seed, bursts=bursts)
+        flips = np.flatnonzero(np.diff(tr.truth.astype(int), prepend=1))
+        counts += np.histogram(flips, bins=edges)[0]
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        mean = seeds * p[lo:hi].sum()
+        sigma = math.sqrt(seeds * (p[lo:hi] * (1 - p[lo:hi])).sum())
+        assert abs(counts[k] - mean) <= 4 * sigma + 1e-9, (lo, hi, counts[k],
+                                                            mean, sigma)
+
+
+def test_event_sampler_per_sample_law():
+    # large flip probabilities on a short trace: each sample index, segment
+    # starts and burst edges included, flips at its own rate
+    n, dt, seeds = 14, 1e-3, 4000
+    for gamma, bursts in (
+            (60.0, [BurstEvent(onset_index=3, amplitude=4.0, decay_time=3e-3),
+                    BurstEvent(onset_index=9, amplitude=2.0,
+                               decay_time=1e-3)]),
+            (lambda t: 40.0 + 2e4 * t, [])):
+        p = _dense_flip_prob(gamma, n, dt, bursts)
+        freq = np.zeros(n)
+        for seed in range(seeds):
+            tr = simulate_trace(gamma, n, dt=dt, seed=seed, bursts=bursts)
+            freq += np.diff(tr.truth.astype(int), prepend=1) != 0
+        sigma = np.sqrt(seeds * p * (1 - p))
+        assert (np.abs(freq - seeds * p) <= 4 * sigma).all(), (freq, seeds * p)
+
+
+def test_readout_errors_keep_iid_law():
+    tr = simulate_trace(341.0, 400_000, dt=10e-6, fidelity=0.8, seed=4)
+    errors = tr.samples != tr.truth
+    assert errors.mean() == pytest.approx(0.2, abs=4 * math.sqrt(0.16 / 4e5))
+    # no correlation between neighbouring errors
+    both = np.mean(errors[1:] & errors[:-1])
+    assert both == pytest.approx(0.04, abs=4 * math.sqrt(0.04 / 4e5))
+
+
+def _reference_window_counts(samples, window):
+    flips = (samples[1:] != samples[:-1]).astype(np.int64)
+    n_win = flips.size // window
+    return flips[: n_win * window].reshape(n_win, window).sum(axis=1)
+
+
+@pytest.mark.parametrize("n, window", [(400_001, 200), (400_000, 200),
+                                       (399_999, 250), (123_457, 20)])
+@pytest.mark.parametrize("with_bursts", [False, True])
+def test_window_flip_counts_match_reshape_sum(monkeypatch, n, window,
+                                              with_bursts):
+    bursts = [BurstEvent(onset_index=n // 3, amplitude=50.0, decay_time=3e-3),
+              BurstEvent(onset_index=n // 2, amplitude=50.0,
+                         decay_time=3e-3)] if with_bursts else []
+    tr = simulate_trace(600.0, n, dt=5e-6, seed=n, bursts=bursts)
+    got = telegraph._window_flip_counts(tr.samples, window)
+    ref = _reference_window_counts(tr.samples, window)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    events = detect_bursts(tr, window=window)
+    monkeypatch.setattr(telegraph, "_window_flip_counts",
+                        _reference_window_counts)
+    assert events == detect_bursts(tr, window=window)
+    if window == 200:   # the comparison is not vacuous
+        assert len(events) == len(bursts)
+
+
+def test_lorentzian_jacobian_matches_central_differences():
+    f = np.linspace(2.5, 4000.0, 300)
+    for a, gamma, c in ((3e-3, 341.0, 1e-5), (1e-4, 50.0, 0.0),
+                        (2.0, 3000.0, 0.5)):
+        p = np.array([a, gamma, c])
+        jac = telegraph._lorentzian_jac(f, *p)
+        assert jac.shape == (f.size, 3)
+        for k in range(3):
+            h = 1e-6 * max(abs(p[k]), 1e-6)
+            up, down = p.copy(), p.copy()
+            up[k] += h
+            down[k] -= h
+            fd = (telegraph._lorentzian(f, *up)
+                  - telegraph._lorentzian(f, *down)) / (2 * h)
+            assert np.allclose(jac[:, k], fd, rtol=1e-6,
+                               atol=1e-9 * np.abs(fd).max())
+
+
+def _reference_write(path, trace):
+    """The per-line writer: header comments then one formatted line each."""
+    with open(path, "w") as fh:
+        fh.write("# dt=%.12g\n" % trace.dt)
+        fh.write("# fidelity=%.12g\n" % trace.fidelity)
+        fh.write("# stream=2\n")
+        if trace.cluster_labels is not None:
+            for s, lab in zip(trace.samples, trace.cluster_labels):
+                fh.write("%+d %d\n" % (s, lab))
+        else:
+            for s in trace.samples:
+                fh.write("%+d\n" % s)
+
+
+@pytest.mark.parametrize("labels", [
+    None,
+    np.repeat(np.array([0, 1, 2], dtype=np.int16), [700, 700, 600]),
+    np.repeat(np.array([0, 5, 12, 9, 130, -7], dtype=np.int16), 334)[:2000],
+    np.repeat(np.array([-3, 32767], dtype=np.int64), 1000),
+])
+@pytest.mark.parametrize("odd_samples", [False, True])
+def test_write_trace_bytes_match_per_line_writer(tmp_path, labels,
+                                                 odd_samples):
+    rng = np.random.default_rng(5)
+    samples = np.where(rng.random(2000) < 0.5, 1, -1).astype(np.int8)
+    if odd_samples:   # values the reader rejects are still written verbatim
+        samples[[3, 9, 11]] = (0, 3, -128)
+    tr = JumpTrace(samples=samples, dt=5e-6, fidelity=0.85,
+                   cluster_labels=labels)
+    write_trace(tmp_path / "fast.txt", tr)
+    _reference_write(tmp_path / "ref.txt", tr)
+    assert ((tmp_path / "fast.txt").read_bytes()
+            == (tmp_path / "ref.txt").read_bytes())
+
+
+def _reference_read(path):
+    """The per-line reader: every line stripped and split on blanks."""
+    dt, fidelity, samples, labels = 10e-6, 1.0, [], []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("dt="):
+                    dt = float(body[3:])
+                elif body.startswith("fidelity="):
+                    fidelity = float(body[9:])
+                continue
+            parts = line.split()
+            samples.append({"+1": 1, "1": 1, "-1": -1}[parts[0]])
+            if len(parts) > 1:
+                labels.append(int(parts[1]))
+    return samples, labels, dt, fidelity
+
+
+TRACE_BODIES = {
+    "fixed": "+1\n-1\n-1\n+1\n+1\n",
+    "fixed_labels": "+1 0\n-1 0\n-1 1\n+1 1\n",
+    "fixed_wide_labels": "+1 0012\n-1 9999\n-1 0000\n",
+    "blank_lines": "+1\n\n-1\n-1\n\n",
+    "unsigned": "+1\n1\n-1\n",
+    "crlf": "+1\r\n-1\r\n-1\r\n",
+    "varying_labels": "+1 9\n-1 10\n-1 11\n",
+    "no_final_newline": "+1\n-1\n-1",
+    "indented": "  +1\n-1\n-1\n",
+    "late_header": "+1\n-1\n# dt=2e-06\n-1\n",
+    "extra_fields": "+1 3 x\n-1 3 y\n",
+    "negative_label": "+1 -2\n-1 -2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_BODIES))
+def test_read_trace_matches_per_line_reader(tmp_path, name):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(("# dt=5e-06\n# fidelity=0.85\n# stream=2\n"
+                      + TRACE_BODIES[name]).encode())
+    samples, labels, dt, fidelity = _reference_read(path)
+    got = read_trace(path)
+    assert got.samples.dtype == np.int8
+    assert np.array_equal(got.samples, samples)
+    assert got.dt == dt and got.fidelity == fidelity
+    if labels:
+        assert got.cluster_labels.dtype == np.int16
+        assert np.array_equal(got.cluster_labels, labels)
+    else:
+        assert got.cluster_labels is None
+
+
+def test_read_trace_names_bad_header_and_label_lines(tmp_path):
+    path = tmp_path / "trace.txt"
+    for text, message in (
+            ("# dt=abc\n+1\n-1\n", "line 1: dt value 'abc' is not a number"),
+            ("# dt=1e-5\n# fidelity=\n+1\n-1\n",
+             "line 2: fidelity value '' is not a number"),
+            ("+1\n-1\n# dt=1e-5x\n", "line 3: dt value '1e-5x'"),
+            ("+1 0\n-1 0\n+1 z\n", "line 3: cluster label 'z' is not"),
+            ("+1 0\n-1 32768\n", "line 2: cluster label '32768' is not")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=str(path) + " " + message):
+            read_trace(path)
+
+
+def test_write_trace_records_stream_version(tmp_path):
+    tr = simulate_trace(341.0, 1000, seed=1)
+    write_trace(tmp_path / "t.txt", tr)
+    head = (tmp_path / "t.txt").read_text().splitlines()[:3]
+    assert head == ["# dt=1e-05", "# fidelity=1",
+                    "# stream=%d" % telegraph.STREAM]
