@@ -13,8 +13,6 @@ Library layout:
                  lamp-power models
 - telegraph:     parity jump-trace simulation and estimators (PSD,
                  autocorrelation, conditional rates, burst detection)
-- traces:        event sampler and text format behind telegraph's traces
-                 (imported on first use)
 - cli:           reproducible command-line pipelines
 """
 

@@ -8,10 +8,17 @@ adding a white floor to the spectrum without biasing the fitted rate.
 Bursts multiply the switching rate by amplitude * exp(-t/decay) (floored at
 the baseline) from their onset.
 
-Flips are drawn as events, not per sample, and traces are written and
-read as byte tables (parityflux.traces, loaded on first use).  STREAM
-versions the seeded stream simulate_trace draws; write_trace records it in
-the trace header.
+Flips are drawn as events, not per sample: geometric gaps at a constant
+rate, and Bernoulli thinning at the local maximum where the rate varies (a
+burst envelope up to where it floors at the baseline, or a callable
+schedule), after Lewis & Shedler, Naval Res. Logist. Q. 26, 403 (1979).
+STREAM versions the seeded stream simulate_trace draws; write_trace records
+it in the trace header.
+
+The trace text body is one sample per line, "%+d" or "%+d %d" with a
+cluster label.  It is written as one uint8 record table; read_trace
+converts a body of "+1"/"-1" lines with numpy and sends any other body
+through a line-by-line reader that names the first bad line.
 
 Estimators: Lorentzian fits to averaged periodograms, exponential fits to
 the autocorrelation, the qubit-state-conditioned rate protocol (feedback
@@ -86,6 +93,89 @@ class JumpTrace:
         return self.samples.size * self.dt
 
 
+def _burst_windows(bursts, n, dt):
+    """Disjoint sample ranges [start, stop) in which burst envelopes exceed
+    1, each with its bursts; past its cut a burst's factor is exactly 1."""
+    windows = []
+    for b in sorted(bursts, key=lambda b: b.onset_index):
+        cut = b.decay_time * math.log(b.amplitude) / dt
+        stop = n if not cut < n else min(n, b.onset_index + int(cut) + 2)
+        if windows and b.onset_index < windows[-1][1]:
+            windows[-1][1] = max(windows[-1][1], stop)
+            windows[-1][2].append(b)
+        else:
+            windows.append([b.onset_index, stop, [b]])
+    return windows
+
+
+def _apply_bursts(rates, start, bursts, dt):
+    """Multiply rates (of samples start, start + 1, ...) in place by each
+    burst's envelope amplitude * exp(-t/decay), floored at 1."""
+    for b in bursts:
+        idx = np.arange(max(b.onset_index, start), start + rates.size)
+        envelope = b.amplitude * np.exp(-(idx - b.onset_index) * dt
+                                        / b.decay_time)
+        rates[idx - start] *= np.maximum(envelope, 1.0)
+    return rates
+
+
+def _flip_prob(rates, dt):
+    return 0.5 * (1.0 - np.exp(-2.0 * rates * dt))
+
+
+def _geometric_events(rng, p, start, stop):
+    """Sorted indices in [start, stop) of independent Bernoulli(p) successes,
+    drawn as geometric gaps."""
+    if not p > 0 or stop <= start:
+        return np.empty(0, dtype=np.int64)
+    expect = (stop - start) * p
+    size = int(expect + 6.0 * math.sqrt(expect) + 16)
+    chunks, last = [], start - 1
+    while last < stop:
+        idx = last + np.cumsum(rng.geometric(p, size))
+        chunks.append(idx)
+        last = idx[-1]
+    idx = np.concatenate(chunks)
+    return idx[:np.searchsorted(idx, stop)]
+
+
+def _thinned_events(rng, p, start):
+    """Bernoulli(p[i]) successes at indices start + i, drawn as candidates
+    at the maximum of p and kept with probability p[i] / max."""
+    p_max = float(p.max())
+    cand = _geometric_events(rng, p_max, start, start + p.size)
+    return cand[rng.random(cand.size) < p[cand - start] / p_max]
+
+
+def _flip_indices(rng, gamma, n, dt, bursts):
+    """Sorted indices of the samples at which the hidden parity flips.
+
+    gamma is a rate in 1/s or a callable t -> rate; bursts multiply it by
+    their envelopes.  A rate that is not finite and nonnegative raises
+    ValueError before any draw.
+    """
+    # windows (start, stop, per-sample rates); the rate outside is constant
+    if callable(gamma):
+        rates = np.empty(n)
+        rates[:] = gamma(np.arange(n) * dt)
+        base, windows = 0.0, [(0, n, _apply_bursts(rates, 0, bursts, dt))]
+    else:
+        base = float(gamma)
+        windows = [(start, stop, _apply_bursts(np.full(stop - start, base),
+                                               start, group, dt))
+                   for start, stop, group in _burst_windows(bursts, n, dt)]
+    if not (base >= 0 and math.isfinite(base) and all(
+            np.isfinite(r).all() and (r >= 0).all() for _, _, r in windows)):
+        raise ValueError("gamma: switching rate must be finite and nonnegative")
+    p_base = float(_flip_prob(base, dt))
+    flips, edge = [], 0
+    for start, stop, rates in windows:
+        flips.append(_geometric_events(rng, p_base, edge, start))
+        flips.append(_thinned_events(rng, _flip_prob(rates, dt), start))
+        edge = stop
+    return np.concatenate(flips + [_geometric_events(rng, p_base, edge, n)])
+
+
 def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     """Simulate a parity jump trace; deterministic given the seed.
 
@@ -94,11 +184,8 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
     cluster labels start at 0 and increment at each ng_jump burst.  Rates
     must be finite and nonnegative, dt finite and positive, n at least 2 and
     every burst onset below n (ValueError otherwise).  Flip positions are
-    drawn as events (parityflux.traces); the seeded stream is version
-    STREAM.
+    drawn as events (_flip_indices); the seeded stream is version STREAM.
     """
-    from .traces import flip_indices
-
     _check_dt(dt)
     if n < 2:
         raise ValueError("n must be at least 2 samples, got %r" % n)
@@ -108,7 +195,7 @@ def simulate_trace(gamma, n, dt=10e-6, fidelity=1.0, seed=0, bursts=None):
             raise ValueError("burst onset_index must be below n = %d, got %r"
                              % (n, b.onset_index))
     rng = np.random.default_rng(seed)
-    flips = flip_indices(rng, gamma, n, dt, bursts)
+    flips = _flip_indices(rng, gamma, n, dt, bursts)
     levels = np.ones(flips.size + 1, dtype=np.int8)
     levels[1::2] = -1
     hidden = np.repeat(levels, np.diff(flips, prepend=0, append=n))
@@ -138,13 +225,6 @@ def _lorentzian(f, a, gamma, c):
     return a / (1.0 + (math.pi * f / gamma) ** 2) + c
 
 
-def _lorentzian_jac(f, a, gamma, c):
-    """Jacobian of _lorentzian in (a, gamma, c), one row per frequency."""
-    u = (math.pi * f / gamma) ** 2
-    g = 1.0 / (1.0 + u)
-    return np.column_stack((g, 2.0 * a * u * g * g / gamma, np.ones_like(f)))
-
-
 def _fit_lorentzian(freqs, psd, n_avg):
     from scipy.optimize import curve_fit
 
@@ -160,7 +240,7 @@ def _fit_lorentzian(freqs, psd, n_avg):
     sigma = (np.abs(psd) + 1e-300) / math.sqrt(n_avg)
     for _ in range(3):
         popt, pcov = curve_fit(
-            _lorentzian, freqs, psd, p0=popt, sigma=sigma, jac=_lorentzian_jac,
+            _lorentzian, freqs, psd, p0=popt, sigma=sigma,
             bounds=([0, freqs[1] * 0.1, 0], [np.inf, freqs[-1] * 10, np.inf]),
             maxfev=20000,
         )
@@ -461,17 +541,110 @@ def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
 # ---------------------------------------------------------------------------
 # trace text format
 
+def _token_rows(values, fmt):
+    """Byte rows of fmt % v for the values v of an int8 or int16 array, one
+    row per bit pattern, set for the patterns present and zero-padded to a
+    common width: (rows, widths, each value's row index)."""
+    index = values.view("u%d" % values.dtype.itemsize)
+    codes = np.flatnonzero(np.bincount(index))
+    tokens = [(fmt % v).encode()
+              for v in codes.astype(index.dtype).view(values.dtype).tolist()]
+    widths = np.zeros(codes[-1] + 1, dtype=np.intp)
+    widths[codes] = [len(t) for t in tokens]
+    rows = np.zeros((widths.size, widths.max()), dtype=np.uint8)
+    for code, token in zip(codes, tokens):
+        rows[code, :len(token)] = np.frombuffer(token, dtype=np.uint8)
+    return rows, widths, index
+
+
+def _record_table(samples, labels=None):
+    """The text body as uint8 records: "%+d" per sample, or "%+d %d" with
+    its label, one per line, formatted through one row per distinct value."""
+    columns = [(samples, "%+d\n")]
+    if labels is not None:
+        columns = [(samples, "%+d "), (labels, "%d\n")]
+    tokens = [_token_rows(values, fmt) for values, fmt in columns]
+    records = np.concatenate([np.take(rows, index, axis=0)
+                              for rows, _, index in tokens], axis=1)
+    if any(np.ptp(widths[widths > 0]) for _, widths, _ in tokens):
+        # tokens of unequal width: drop each row's padding
+        records = records[np.concatenate(
+            [(np.arange(rows.shape[1]) < widths[:, None])[index]
+             for rows, widths, index in tokens], axis=1)]
+    return records
+
+
 def write_trace(path, trace: JumpTrace):
     """Compact text format: header comments (dt, fidelity, the simulator's
     stream version) then one sample per line, "%+d" or "%+d %d" with the
-    cluster label; the body is written in one call (traces.record_table)."""
-    from .traces import record_table
-
-    records = record_table(trace.samples, trace.cluster_labels)
+    cluster label; the body is written in one call."""
+    records = _record_table(trace.samples, trace.cluster_labels)
     with open(path, "wb") as fh:
         fh.write(b"# dt=%.12g\n# fidelity=%.12g\n# stream=%d\n"
                  % (trace.dt, trace.fidelity, STREAM))
         fh.write(records)
+
+
+_SAMPLES = {"+1": 1, "1": 1, "-1": -1}
+_DEFAULT_META = {"dt": 10e-6, "fidelity": 1.0}
+
+
+def _header_line(line, meta, path, lineno):
+    """Read a dt= or fidelity= header comment into meta; others are ignored."""
+    body = line[1:].strip()
+    for key in ("dt", "fidelity"):
+        if body.startswith(key + "="):
+            try:
+                meta[key] = float(body[len(key) + 1:])
+            except ValueError:
+                raise ValueError("%s line %d: %s value %r is not a number"
+                                 % (path, lineno, key, body[len(key) + 1:])
+                                 ) from None
+
+
+def _fixed_width_samples(body):
+    """Samples of a body of "+1\\n" and "-1\\n" lines only; None otherwise."""
+    if body.size % 3:
+        return None
+    rec = body.reshape(-1, 3)
+    sign = rec[:, 0]
+    ok = ((sign == ord("+")) | (sign == ord("-"))) & (rec[:, 1] == ord("1"))
+    if not (ok & (rec[:, 2] == ord("\n"))).all():
+        return None
+    # "+" is 43 and "-" is 45, so 44 - byte is 1 or -1 (255 as uint8)
+    return (np.uint8(44) - sign).view(np.int8)
+
+
+def _parse_lines(data, path):
+    """Line-by-line reader for any body; names the first bad line."""
+    import io
+
+    meta = dict(_DEFAULT_META)
+    samples, labels = [], []
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data)), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _header_line(line, meta, path, lineno)
+            continue
+        parts = line.split()
+        sample = _SAMPLES.get(parts[0])
+        if sample is None:
+            raise ValueError("%s line %d: trace sample %r is not +1 or -1"
+                             % (path, lineno, parts[0]))
+        samples.append(sample)
+        if len(parts) > 1:
+            try:
+                label = int(parts[1])
+            except ValueError:
+                label = None
+            if label is None or not -2**15 <= label < 2**15:
+                raise ValueError("%s line %d: cluster label %r is not a "
+                                 "16-bit integer" % (path, lineno, parts[1]))
+            labels.append(label)
+    lab = np.asarray(labels, dtype=np.int16) if labels else None
+    return np.asarray(samples, dtype=np.int8), lab, meta
 
 
 def read_trace(path):
@@ -480,13 +653,25 @@ def read_trace(path):
     16-bit integer raise ValueError naming the file and line.
 
     The file is read once as bytes.  After the leading comment lines, a
-    body of fixed-width records is checked and converted with numpy; any
-    other body (blank lines, unsigned samples, CRLF line ends, labels of
-    varying width, no final newline) goes through the line-by-line reader.
+    body of "+1"/"-1" lines is checked and converted with numpy; any other
+    body (cluster labels, blank lines, unsigned samples, CRLF line ends, no
+    final newline) goes through the line-by-line reader.
     """
-    from .traces import parse_trace
-
     with open(path, "rb") as fh:
-        samples, labels, meta = parse_trace(fh.read(), path)
+        data = fh.read()
+    meta = dict(_DEFAULT_META)
+    start, lineno = 0, 0
+    while data.startswith(b"#", start):
+        end = data.find(b"\n", start) + 1
+        if not end:
+            break
+        lineno += 1
+        _header_line(data[start:end].decode().strip(), meta, path, lineno)
+        start = end
+    samples = _fixed_width_samples(
+        np.frombuffer(data, dtype=np.uint8, offset=start))
+    labels = None
+    if samples is None:
+        samples, labels, meta = _parse_lines(data, path)
     return JumpTrace(samples=samples, dt=meta["dt"], fidelity=meta["fidelity"],
                      cluster_labels=labels)

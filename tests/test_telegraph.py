@@ -363,24 +363,6 @@ def test_window_flip_counts_match_reshape_sum(monkeypatch, n, window,
         assert len(events) == len(bursts)
 
 
-def test_lorentzian_jacobian_matches_central_differences():
-    f = np.linspace(2.5, 4000.0, 300)
-    for a, gamma, c in ((3e-3, 341.0, 1e-5), (1e-4, 50.0, 0.0),
-                        (2.0, 3000.0, 0.5)):
-        p = np.array([a, gamma, c])
-        jac = telegraph._lorentzian_jac(f, *p)
-        assert jac.shape == (f.size, 3)
-        for k in range(3):
-            h = 1e-6 * max(abs(p[k]), 1e-6)
-            up, down = p.copy(), p.copy()
-            up[k] += h
-            down[k] -= h
-            fd = (telegraph._lorentzian(f, *up)
-                  - telegraph._lorentzian(f, *down)) / (2 * h)
-            assert np.allclose(jac[:, k], fd, rtol=1e-6,
-                               atol=1e-9 * np.abs(fd).max())
-
-
 def _reference_write(path, trace):
     """The per-line writer: header comments then one formatted line each."""
     with open(path, "w") as fh:
