@@ -474,6 +474,10 @@ jobs = [
     ["telegraph", "simulate", "--gamma", "600", "--n", "20000", "--dt", "5e-6",
      "--seed", "3", "--burst", "5000:50:0.003", "--out", "trace.txt"],
     ["telegraph", "bursts", "--trace", "trace.txt", "--out", "bursts.csv"],
+    ["telegraph", "simulate", "--gamma", "600", "--n", "20000", "--dt", "5e-6",
+     "--seed", "4", "--burst", "8000:50:0.003:ng", "--out", "labelled.txt"],
+    ["telegraph", "bursts", "--trace", "labelled.txt", "--out",
+     "labelled_bursts.csv"],
 ]
 for argv in jobs:
     assert parityflux.cli.main(argv) == 0, argv

@@ -8,8 +8,11 @@ exactly, and a number to the file's bound.
 
 - Rate, curve, spectrum and ``make-synthetic`` numbers: 1e-12 relative.
 - Fit outputs (``fit`` and ``thermal-fit`` reports, ``fit`` residual
-  files): FIT_RTOL relative, and FIT_RTOL absolute for ``residual_sigma``,
-  which is in units of one sigma.
+  files, and ``telegraph analyze``, whose rates are ``curve_fit`` results):
+  FIT_RTOL relative, and FIT_RTOL absolute for ``residual_sigma``, which is
+  in units of one sigma.
+- Traces written by ``telegraph simulate``: byte for byte, header included,
+  since the seeded stream and the trace format are fixed by STREAM.
 
 FIT_RTOL comes from the fits' conditioning.  A relative change eps of the
 model values m moves the weighted residuals by at most eps * |m/sigma|, the
@@ -43,6 +46,7 @@ from parityflux.cli import main
 DATA = os.path.join(os.path.dirname(__file__), "data")
 RTOL = 1e-12
 FIT_RTOL = 1e-8
+BYTES = None     # the bound of a file compared byte for byte
 
 
 def _data(name):
@@ -89,6 +93,34 @@ COMMANDS = {
                                 _data("thermal.csv"), "--mode",
                                 "qp_background", "--out",
                                 "thermal_background.txt"], [], FIT_RTOL),
+    "telegraph_labelled.txt": (["telegraph", "simulate", "--gamma", "400",
+                                "--n", "5000", "--dt", "1e-5", "--seed", "7",
+                                "--burst", "2500:40:0.002:ng", "--out",
+                                "telegraph_labelled.txt"], [], BYTES),
+    "telegraph_trace.txt": (["telegraph", "simulate", "--gamma", "400",
+                             "--n", "4000", "--dt", "1e-5", "--fidelity",
+                             "0.9", "--seed", "11", "--out",
+                             "telegraph_trace.txt"], [], BYTES),
+    "telegraph_bursts.csv": (["telegraph", "bursts", "--trace",
+                              _data("telegraph_labelled.txt"), "--window",
+                              "50", "--out", "telegraph_bursts.csv"], [],
+                             RTOL),
+    "telegraph_analyze.txt": (["telegraph", "analyze", "--trace",
+                               "analyze_trace.txt", "--segment-len", "8000",
+                               "--n-avg", "2", "--out",
+                               "telegraph_analyze.txt"], [], FIT_RTOL),
+    "telegraph_conditional.txt": (["telegraph", "conditional", "--gamma0",
+                                   "300", "--gamma1", "900", "--t1", "2e-5",
+                                   "--seed", "4", "--out",
+                                   "telegraph_conditional.txt"], [], RTOL),
+}
+
+# commands that write a command's inputs first
+BEFORE = {
+    "telegraph_analyze.txt": ["telegraph", "simulate", "--gamma", "300",
+                              "--n", "80000", "--dt", "1e-5", "--fidelity",
+                              "0.9", "--seed", "3", "--out",
+                              "analyze_trace.txt"],
 }
 
 
@@ -125,6 +157,12 @@ def _compare(name, got, want, rtol):
 def test_output_matches_reference(name, tmp_path, monkeypatch):
     argv, more, rtol = COMMANDS[name]
     monkeypatch.chdir(tmp_path)
+    if name in BEFORE:
+        assert main(BEFORE[name]) == 0
     assert main(argv) == 0
     for f in [name] + more:
-        _compare(f, _body(f), _body(_data(f)), rtol)
+        if rtol is BYTES:
+            with open(f, "rb") as got, open(_data(f), "rb") as want:
+                assert got.read() == want.read(), f
+        else:
+            _compare(f, _body(f), _body(_data(f)), rtol)
