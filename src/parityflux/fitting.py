@@ -530,8 +530,8 @@ def thermal_nups_rate(params: DeviceParams, t_kelvin, phi=0.0, n_g=DEFAULT_NG,
 
 
 def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
-                phi=0.0, n_g=DEFAULT_NG):
-    """Two-parameter fit of a (T, Gamma) sweep.
+                n_g=DEFAULT_NG):
+    """Two-parameter fit of a (T, Gamma) sweep at zero flux.
 
     mode "paps_offset": Gamma(T) = offset + Gamma_N_thermal(T; gap_mean);
     mode "qp_background": Gamma(T) = Gamma_N(T; gap_mean, x_bg), a constant
@@ -546,14 +546,14 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
         raise ValueError("temperature %g K is not positive" % temps.min())
     gammas = np.asarray([g for _, g in data], dtype=float)
     sigmas = np.maximum(0.05 * np.abs(gammas), 1e-3)
-    point = flux_point(params, phi, n_g)
+    point = flux_point(params, 0.0, n_g)
     offset = mode == "paps_offset"
 
     def model(theta):
         gap_mean, extra = theta
         p = params.with_(gap_mean=float(gap_mean))
         gamma_n = np.array([thermal_nups_rate(
-            p, t, phi, n_g, x_background=0.0 if offset else extra,
+            p, t, 0.0, n_g, x_background=0.0 if offset else extra,
             point=point) for t in temps])
         return extra + gamma_n if offset else gamma_n
 

@@ -15,10 +15,13 @@ schedule), after Lewis & Shedler, Naval Res. Logist. Q. 26, 403 (1979).
 STREAM versions the seeded stream simulate_trace draws; write_trace records
 it in the trace header.
 
-The trace text body is one sample per line, "%+d" or "%+d %d" with a
-cluster label.  It is written as one uint8 record table; read_trace
-converts a body of "+1"/"-1" lines with numpy and sends any other body
-through a line-by-line reader that names the first bad line.
+A JumpTrace holds samples of +1 and -1 only.  The trace text body is one
+sample per line, "%+d" or "%+d %d" with a cluster label.  An unlabelled
+body moves through numpy in both directions: write_trace takes each line
+from a two-row table of "-1\n" and "+1\n", and read_trace checks and
+converts the same records.  A labelled body, which no benchmark workload
+writes or reads, goes line by line both ways; the reader names the first
+bad line.
 
 Estimators: Lorentzian fits to averaged periodograms, exponential fits to
 the autocorrelation, the qubit-state-conditioned rate protocol (feedback
@@ -27,6 +30,7 @@ population), Gaussian statistics of repeated rate estimates, and a
 sliding-window burst detector.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -70,7 +74,13 @@ class JumpTrace:
     truth: np.ndarray = None            # hidden parity, for validation
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.int8)
+        samples = np.asarray(self.samples)
+        bad = np.abs(samples) != 1
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError("trace sample %d is %r, not +1 or -1"
+                             % (k, samples.flat[k].item()))
+        self.samples = samples.astype(np.int8, copy=False)
         if self.samples.size < 2:
             raise ValueError("trace needs at least 2 samples")
         _check_dt(self.dt)
@@ -296,20 +306,20 @@ def psd_gamma(trace: JumpTrace, segment_len, n_avg=5):
     return float(np.mean(gammas)), float(np.mean(floors)), diag
 
 
-def autocorrelation_gamma(trace: JumpTrace, max_lag=None):
+def autocorrelation_gamma(trace: JumpTrace):
     """Rate from an exponential fit to the sample autocorrelation.
 
     C(k) = (2f-1)^2 exp(-2 Gamma k dt) for k >= 1; fitted in log space over
-    lags with positive correlation.  Secondary estimator used for
-    cross-checks against the spectral fit.
+    lags with positive correlation, up to 1.5 decay times of a rate guessed
+    from the flip count (at most a quarter of the trace).  Secondary
+    estimator used for cross-checks against the spectral fit.
     """
     x = trace.samples.astype(float)
     x = x - x.mean()
     n = x.size
-    if max_lag is None:
-        flips = np.count_nonzero(trace.samples[1:] != trace.samples[:-1])
-        gamma_guess = max(flips / (2.0 * trace.duration), 1.0 / trace.duration)
-        max_lag = int(min(max(3, 1.5 / (2 * gamma_guess * trace.dt)), n // 4))
+    flips = np.count_nonzero(trace.samples[1:] != trace.samples[:-1])
+    gamma_guess = max(flips / (2.0 * trace.duration), 1.0 / trace.duration)
+    max_lag = int(min(max(3, 1.5 / (2 * gamma_guess * trace.dt)), n // 4))
     lags = np.arange(1, max_lag + 1)
     var = float(x @ x) / n
     corr = np.array([float(x[:n - k] @ x[k:]) / ((n - k) * var) for k in lags])
@@ -484,6 +494,12 @@ def _window_flip_counts(samples, window):
     return np.bincount(flips // window, minlength=span // window)
 
 
+def _label_mode(labels):
+    """The most frequent label; the smallest one among ties."""
+    values, counts = np.unique(labels, return_counts=True)
+    return int(values[np.argmax(counts)])
+
+
 def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
     """Sliding-window flip-rate burst detector.
 
@@ -529,9 +545,7 @@ def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
             before = trace.cluster_labels[max(onset - 5 * window, 0):onset]
             after = trace.cluster_labels[onset + 1:onset + 5 * window]
             if before.size and after.size:
-                mode_b = int(np.bincount(before.astype(int)).argmax())
-                mode_a = int(np.bincount(after.astype(int)).argmax())
-                ng_jump = mode_b != mode_a
+                ng_jump = _label_mode(before) != _label_mode(after)
         events.append(BurstEvent(onset_index=onset,
                                  amplitude=float(amplitude),
                                  decay_time=float(decay), ng_jump=ng_jump))
@@ -541,48 +555,23 @@ def detect_bursts(trace: JumpTrace, window=200, threshold=8.0):
 # ---------------------------------------------------------------------------
 # trace text format
 
-def _token_rows(values, fmt):
-    """Byte rows of fmt % v for the values v of an int8 or int16 array, one
-    row per bit pattern, set for the patterns present and zero-padded to a
-    common width: (rows, widths, each value's row index)."""
-    index = values.view("u%d" % values.dtype.itemsize)
-    codes = np.flatnonzero(np.bincount(index))
-    tokens = [(fmt % v).encode()
-              for v in codes.astype(index.dtype).view(values.dtype).tolist()]
-    widths = np.zeros(codes[-1] + 1, dtype=np.intp)
-    widths[codes] = [len(t) for t in tokens]
-    rows = np.zeros((widths.size, widths.max()), dtype=np.uint8)
-    for code, token in zip(codes, tokens):
-        rows[code, :len(token)] = np.frombuffer(token, dtype=np.uint8)
-    return rows, widths, index
-
-
-def _record_table(samples, labels=None):
-    """The text body as uint8 records: "%+d" per sample, or "%+d %d" with
-    its label, one per line, formatted through one row per distinct value."""
-    columns = [(samples, "%+d\n")]
-    if labels is not None:
-        columns = [(samples, "%+d "), (labels, "%d\n")]
-    tokens = [_token_rows(values, fmt) for values, fmt in columns]
-    records = np.concatenate([np.take(rows, index, axis=0)
-                              for rows, _, index in tokens], axis=1)
-    if any(np.ptp(widths[widths > 0]) for _, widths, _ in tokens):
-        # tokens of unequal width: drop each row's padding
-        records = records[np.concatenate(
-            [(np.arange(rows.shape[1]) < widths[:, None])[index]
-             for rows, widths, index in tokens], axis=1)]
-    return records
+# an unlabelled body line per sample, indexed by sample > 0
+_RECORDS = np.frombuffer(b"-1\n+1\n", dtype=np.uint8).reshape(2, 3)
 
 
 def write_trace(path, trace: JumpTrace):
     """Compact text format: header comments (dt, fidelity, the simulator's
     stream version) then one sample per line, "%+d" or "%+d %d" with the
     cluster label; the body is written in one call."""
-    records = _record_table(trace.samples, trace.cluster_labels)
+    if trace.cluster_labels is None:
+        body = np.take(_RECORDS, trace.samples > 0, axis=0)
+    else:
+        body = "".join("%+d %d\n" % line for line in zip(
+            trace.samples.tolist(), trace.cluster_labels.tolist())).encode()
     with open(path, "wb") as fh:
         fh.write(b"# dt=%.12g\n# fidelity=%.12g\n# stream=%d\n"
                  % (trace.dt, trace.fidelity, STREAM))
-        fh.write(records)
+        fh.write(body)
 
 
 _SAMPLES = {"+1": 1, "1": 1, "-1": -1}
@@ -615,13 +604,12 @@ def _fixed_width_samples(body):
     return (np.uint8(44) - sign).view(np.int8)
 
 
-def _parse_lines(data, path):
-    """Line-by-line reader for any body; names the first bad line."""
-    import io
-
-    meta = dict(_DEFAULT_META)
+def _parse_lines(body, path, meta, lineno):
+    """Line-by-line reader for any body that follows lineno header lines
+    (their values already in meta); names the first bad line."""
     samples, labels = [], []
-    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data)), 1):
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(body)),
+                                 lineno + 1):
         line = raw.strip()
         if not line:
             continue
@@ -644,7 +632,7 @@ def _parse_lines(data, path):
                                  "16-bit integer" % (path, lineno, parts[1]))
             labels.append(label)
     lab = np.asarray(labels, dtype=np.int16) if labels else None
-    return np.asarray(samples, dtype=np.int8), lab, meta
+    return np.asarray(samples, dtype=np.int8), lab
 
 
 def read_trace(path):
@@ -652,10 +640,11 @@ def read_trace(path):
     unparsable dt= or fidelity= value and a cluster label that is not a
     16-bit integer raise ValueError naming the file and line.
 
-    The file is read once as bytes.  After the leading comment lines, a
-    body of "+1"/"-1" lines is checked and converted with numpy; any other
-    body (cluster labels, blank lines, unsigned samples, CRLF line ends, no
-    final newline) goes through the line-by-line reader.
+    The file is read once as bytes and its leading comment lines are
+    parsed once.  A body of "+1"/"-1" lines is then checked and converted
+    with numpy; any other body (cluster labels, blank lines, unsigned
+    samples, CRLF line ends, no final newline) goes through the
+    line-by-line reader, which starts where the header ends.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -672,6 +661,6 @@ def read_trace(path):
         np.frombuffer(data, dtype=np.uint8, offset=start))
     labels = None
     if samples is None:
-        samples, labels, meta = _parse_lines(data, path)
+        samples, labels = _parse_lines(data[start:], path, meta, lineno)
     return JumpTrace(samples=samples, dt=meta["dt"], fidelity=meta["fidelity"],
                      cluster_labels=labels)

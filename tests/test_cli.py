@@ -207,6 +207,26 @@ def test_telegraph_pipeline(tmp_path):
     assert run(["telegraph", "bursts", "--trace", trace, "--out", bout]) == 0
 
 
+def test_telegraph_bursts_ignore_label_offset(tmp_path):
+    from parityflux.telegraph import JumpTrace, read_trace, write_trace
+
+    trace = str(tmp_path / "tr.txt")
+    assert run(["telegraph", "simulate", "--gamma", "600", "--n", "400000",
+                "--dt", "5e-6", "--seed", "11", "--burst",
+                "200000:50:0.003:ng", "--out", trace]) == 0
+    tr = read_trace(trace)
+    shifted = str(tmp_path / "shifted.txt")
+    write_trace(shifted, JumpTrace(samples=tr.samples, dt=tr.dt,
+                                   cluster_labels=tr.cluster_labels - 5))
+    bodies = []
+    for path in (trace, shifted):
+        out = str(tmp_path / "b.csv")
+        assert run(["telegraph", "bursts", "--trace", path, "--out", out]) == 0
+        bodies.append([l for l in open(out) if not l.startswith("#")])
+    assert bodies[0] == bodies[1]
+    assert len(bodies[0]) == 2 and bodies[0][1].endswith(",1\n")
+
+
 def test_telegraph_seed_mandatory(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["telegraph", "simulate", "--gamma", "341", "--n", "1000",

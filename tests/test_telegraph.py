@@ -30,6 +30,29 @@ def test_trace_validation():
     assert tr.cluster_labels.dtype == np.int16
 
 
+@pytest.mark.parametrize("samples", [
+    np.array([1, 0, -1], dtype=np.int64),
+    np.array([1, 2, -1], dtype=np.int64),
+    np.array([1, -1, 257], dtype=np.int64),
+    np.array([1, -1, 300], dtype=np.int64),
+    np.array([1.0, 1.7, -1.0]),
+    np.array([1.0, -1.0, math.nan]),
+    [257, -1],
+])
+def test_jump_trace_rejects_non_unit_samples(samples):
+    # checked before the int8 cast, which would wrap 257 to 1 and 1.7 to 1
+    with pytest.raises(ValueError, match=r"trace sample \d is .*, not \+1 or"):
+        JumpTrace(samples=samples)
+
+
+def test_jump_trace_keeps_int8_samples():
+    samples = np.array([1, -1, -1], dtype=np.int8)
+    assert JumpTrace(samples=samples).samples is samples
+    tr = JumpTrace(samples=[1.0, -1.0, 1.0])
+    assert tr.samples.dtype == np.int8
+    assert tr.samples.tolist() == [1, -1, 1]
+
+
 def test_simulate_rejects_non_finite_rate_and_bad_dt():
     for gamma in (math.nan, math.inf, lambda t: np.full(t.shape, math.nan)):
         with pytest.raises(ValueError, match="rate must be finite"):
@@ -212,6 +235,22 @@ def test_burst_injection_and_detection():
     assert tr.cluster_labels[0] == 0 and tr.cluster_labels[-1] == 1
 
 
+def test_detect_bursts_ignores_label_offset():
+    tr = simulate_trace(600.0, 400_000, dt=5e-6, seed=11, bursts=[
+        BurstEvent(onset_index=200_000, amplitude=50.0, decay_time=3e-3,
+                   ng_jump=True)])
+    events = detect_bursts(tr)
+    assert len(events) == 1 and events[0].ng_jump
+    for shift in (-5, -32768, 32766):
+        shifted = JumpTrace(samples=tr.samples, dt=tr.dt,
+                            cluster_labels=tr.cluster_labels.astype(int)
+                            + shift)
+        assert detect_bursts(shifted) == events
+    # a tie goes to the smallest label
+    labels = np.array([4, -3, 4, -3, 9], dtype=np.int16)
+    assert telegraph._label_mode(labels) == -3
+
+
 def test_burst_no_false_positives():
     for s in range(5):
         tr = simulate_trace(600.0, 2_000_000, dt=5e-6, fidelity=1.0,
@@ -388,8 +427,12 @@ def test_write_trace_bytes_match_per_line_writer(tmp_path, labels,
                                                  odd_samples):
     rng = np.random.default_rng(5)
     samples = np.where(rng.random(2000) < 0.5, 1, -1).astype(np.int8)
-    if odd_samples:   # values the reader rejects are still written verbatim
+    if odd_samples:   # values the reader rejects never reach the writer
         samples[[3, 9, 11]] = (0, 3, -128)
+        with pytest.raises(ValueError, match="trace sample 3 is 0, not"):
+            JumpTrace(samples=samples, dt=5e-6, fidelity=0.85,
+                      cluster_labels=labels)
+        return
     tr = JumpTrace(samples=samples, dt=5e-6, fidelity=0.85,
                    cluster_labels=labels)
     write_trace(tmp_path / "fast.txt", tr)
