@@ -75,7 +75,7 @@ class JumpTrace:
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
-        bad = np.abs(samples) != 1
+        bad = (samples != 1) & (samples != -1)
         if bad.any():
             k = int(np.argmax(bad))
             raise ValueError("trace sample %d is %r, not +1 or -1"

@@ -37,10 +37,12 @@ def test_trace_validation():
     np.array([1, -1, 300], dtype=np.int64),
     np.array([1.0, 1.7, -1.0]),
     np.array([1.0, -1.0, math.nan]),
+    np.array([1, 1j, -1]),
     [257, -1],
 ])
 def test_jump_trace_rejects_non_unit_samples(samples):
-    # checked before the int8 cast, which would wrap 257 to 1 and 1.7 to 1
+    # checked before the int8 cast, which would wrap 257 to 1, 1.7 to 1
+    # and 1j to 0
     with pytest.raises(ValueError, match=r"trace sample \d is .*, not \+1 or"):
         JumpTrace(samples=samples)
 
