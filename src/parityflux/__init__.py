@@ -18,7 +18,7 @@ Library layout:
 
 from .device import (ConfigError, DeviceParams, FluxFrequencyMap,
                      cooper_pair_number, flux_to_fq, fq_to_flux, load_config)
-from .spectrum import (ChargeMatrixElements, Junction, SpectrumResult,
+from .spectrum import (ChargeMatrixElements, Junction, Sectors,
                        TruncationError, charge_matrix_elements, eigensystem,
                        parity_spectrum)
 from .superconductor import FilmState, dos, mu_from_xqp, occupation, xqp_from_mu

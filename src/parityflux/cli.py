@@ -1,8 +1,9 @@
 """Command-line pipelines with reproducible, config-driven runs.
 
-Every output file starts with a manifest block of `#` comments recording
-the subcommand, tool version, normalized arguments, config and data digests
-and the seed, so identical manifests rerun to byte-identical files.
+Every table and report starts with a manifest block of `#` comments
+recording the subcommand, tool version, normalized arguments, config and
+data digests and the seed, so identical manifests rerun to byte-identical
+files; a `telegraph simulate` trace has only its dt, fidelity and stream.
 Outputs are written atomically (temp file + rename).  Exit codes: 0
 success, 1 domain/numeric errors, 2 usage errors.
 """
@@ -145,9 +146,8 @@ def cmd_spectrum(args):
     for phi in grid:
         sectors = solve_sectors(params, phi, args.ng, args.n_trunc,
                                 check_convergence=True)
-        spec = sectors.spectrum()
-        row = [phi, args.ng, spec.fq_even, spec.fq_odd, spec.fq_mean,
-               spec.delta_fq * 1e3]
+        row = [phi, args.ng, sectors.fq_even, sectors.fq_odd,
+               sectors.fq_mean, sectors.delta_fq * 1e3]
         for junction in (Junction.J1, Junction.J2):
             m = sectors.matrix_elements(junction)
             row.extend(list(m.m_cos.ravel()) + list(m.m_sin.ravel()))
@@ -273,7 +273,7 @@ def _parse_bindings(spec):
 
 def _parse_init(spec, bindings):
     """name=value items of --init: a name from FIT_PARAMETERS and a finite
-    value each, and a value for every bound parameter."""
+    value each, a value for every bound parameter, and f_P unless n_bar = 0."""
     out = {}
     for item in spec.split(","):
         if not item:
@@ -293,6 +293,8 @@ def _parse_init(spec, bindings):
         if name not in out:
             raise UsageError("--init needs a value for the bound parameter %r"
                              % name)
+    if "f_P" not in out and ("n_bar" in bindings or out.get("n_bar", 0.0)):
+        raise UsageError("--init needs f_P when n_bar is free or nonzero")
     return out
 
 

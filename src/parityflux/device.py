@@ -69,11 +69,6 @@ class DeviceParams:
         """Delta_H/h in GHz."""
         return self.gap_mean + 0.5 * self.gap_diff
 
-    @property
-    def junction_asymmetry(self):
-        """d = (ej2 - ej1)/(ej1 + ej2), in (0, 1) for ej2 > ej1."""
-        return abs(self.ej2 - self.ej1) / (self.ej1 + self.ej2)
-
     def with_(self, **kw):
         return replace(self, **kw)
 
@@ -95,10 +90,9 @@ _CALIBRATION_TOL = 1e-9  # allowed |fq0 sqrt(d) - fq_half| / fq0
 class FluxFrequencyMap:
     """Two-point calibration of f_q(Phi).
 
-    f_q(Phi) = fq0 * (cos^2(pi*Phi) + d^2 sin^2(pi*Phi))^(1/4).  The default
-    construction calibrates d from the two endpoint frequencies, mirroring
-    how measured points are assigned flux values; ``from_device`` instead
-    derives d from the junction asymmetry.
+    f_q(Phi) = fq0 * (cos^2(pi*Phi) + d^2 sin^2(pi*Phi))^(1/4).  Without
+    an explicit d the map calibrates d from the two endpoint frequencies,
+    mirroring how measured points are assigned flux values.
     """
 
     fq0: float = 5.0594      # f_q at Phi = 0 (GHz)
@@ -118,12 +112,6 @@ class FluxFrequencyMap:
                 "fq0*sqrt(d) = %.6f GHz disagrees with fq_half = %.6f GHz "
                 "beyond the calibration tolerance" % (self.fq0 * math.sqrt(self.d), self.fq_half)
             )
-
-    @classmethod
-    def from_device(cls, params: DeviceParams, fq0=5.0594):
-        """Map with d taken from the junction energies; fq_half implied."""
-        d = params.junction_asymmetry
-        return cls(fq0=fq0, fq_half=fq0 * math.sqrt(d), d=d)
 
 
 def flux_to_fq(fmap: FluxFrequencyMap, phi):

@@ -22,9 +22,9 @@ import numpy as np
 from .constants import thermal_energy_ghz
 from .device import DeviceParams, require_finite
 from .quadrature import adaptive_quad
-from .rates import (DEFAULT_NG, dilute_tables_grid, flux_point,
+from .rates import (DEFAULT_NG, PhotonDrive, dilute_tables_grid, flux_point,
                     nups_rates, paps_unit_grid, rho_weighted)
-from .steady_state import DynamicsParams, balance_curve
+from .steady_state import DynamicsParams, balance_curve, photon_gamma_p
 # unused here; perfbench/tracer.py checks that fitting.solve_balance resolves
 from .steady_state import solve_balance  # noqa: F401
 from .superconductor import FilmState, mu_from_xqp, xqp_from_mu
@@ -90,6 +90,12 @@ def _fd_jacobian(fun, z, f0, step):
     return jac
 
 
+def _require_residuals(count, names):
+    if count < len(names):
+        raise ValueError("too few data points: %d residuals for %d parameters "
+                         "(%s)" % (count, len(names), ", ".join(names)))
+
+
 def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
     """Levenberg-Marquardt with multiplicative damping (nu = 2 schedule).
 
@@ -100,18 +106,20 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
     first Jacobian is checked against central differences (jacobian_check).
     ``termination`` names the exit after MINPACK lmdif: repeated cost stalls
     ("ftol"), a step below _LM_XTOL ("xtol"), "max_iter", or no lower cost
-    in 60 damping doublings ("no_improving_step").  Raises ValueError when
-    x0 is not inside the bounds (NaN included) or there are fewer residuals
-    than parameters, and DegenerateFitError when the normal matrix at the
-    solution is numerically singular.
+    in 60 damping doublings ("no_improving_step").  Raises ValueError naming
+    the first x0 entry outside its bounds (NaN included) or when there are
+    fewer residuals than parameters, and DegenerateFitError when the normal
+    matrix at the solution is numerically singular.
     """
     x0 = np.asarray(x0, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     log_mask = np.asarray(log_mask, dtype=bool)
     names = names or ["p%d" % k for k in range(x0.size)]
-    if not np.all((lower <= x0) & (x0 <= upper)):
-        raise ValueError("initial point outside bounds")
+    for name, x, lo, hi in zip(names, x0, lower, upper):
+        if not lo <= x <= hi:
+            raise ValueError("initial %s = %g lies outside bounds [%g, %g]"
+                             % (name, x, lo, hi))
     if np.any(log_mask & (lower <= 0)):
         raise ValueError("log-scaled parameters need positive lower bounds")
 
@@ -134,9 +142,7 @@ def lm_least_squares(residual_fn, x0, lower, upper, log_mask, names=None):
 
     z = to_z(x0)
     r = fun(z)
-    if r.size < z.size:
-        raise ValueError("too few data points: %d residuals for %d "
-                         "parameters (%s)" % (r.size, z.size, ", ".join(names)))
+    _require_residuals(r.size, names)
     cost = float(r @ r)
     history = [cost]
     lam = 1e-3
@@ -310,9 +316,9 @@ class GammaModel:
     diagonalized once, its dilute NUPS tables are computed once per
     gap_diff and its unit PAPS grids once per (gap_diff, f_P).  Damping
     steps that only move n_bar, s or g_other cost no quadrature at all.
-    Each evaluation sums the photon modes' Gamma_P, solves the density
-    balance of all of a dataset's flux points in one batched call
-    (steady_state.balance_curve) and returns the rho-weighted
+    Each evaluation sums its PhotonDrive modes with photon_gamma_p, solves
+    the density balance of all of a dataset's flux points in one batched
+    call (steady_state.balance_curve) and returns the rho-weighted
     Gamma_N + Gamma_P at rho = (1/2, 1/2); it never computes chemical
     potentials.
     """
@@ -367,9 +373,10 @@ class GammaModel:
                                  g_other=vals.get("g_other", 0.0))
             # a lamp dataset's mode adds to the background dataset's mode
             modes = [per[0], vals] if self.problem.lamp_mode and ds_idx else [vals]
-            gamma_p = sum(m["n_bar"] * self._on_grid(paps_unit_grid, grid,
-                                                     gap_diff, m["f_P"])
-                          for m in modes)
+            gamma_p = photon_gamma_p(
+                [PhotonDrive(m["f_P"], m["n_bar"]) for m in modes],
+                lambda f_p: self._on_grid(paps_unit_grid, grid, gap_diff,
+                                          f_p), len(grid))
             _, _, gamma_n = balance_curve(
                 params, dyn, self._on_grid(dilute_tables_grid, grid, gap_diff),
                 gamma_p, rho)
@@ -545,9 +552,11 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
     if not np.all(temps > 0):
         raise ValueError("temperature %g K is not positive" % temps.min())
     gammas = np.asarray([g for _, g in data], dtype=float)
+    offset = mode == "paps_offset"
+    names = ["gap_mean", "offset" if offset else "x_bg"]
+    _require_residuals(gammas.size, names)
     sigmas = np.maximum(0.05 * np.abs(gammas), 1e-3)
     point = flux_point(params, 0.0, n_g)
-    offset = mode == "paps_offset"
 
     def model(theta):
         gap_mean, extra = theta
@@ -570,8 +579,7 @@ def fit_thermal(data, params: DeviceParams = None, mode="paps_offset",
         lower = np.array([40.0, 1e-14])
         upper = np.array([65.0, 1e-4])
         log_mask = np.array([False, True])
-    res = lm_least_squares(residual, x0, lower, upper, log_mask,
-                           names=["gap_mean", "offset" if offset else "x_bg"])
+    res = lm_least_squares(residual, x0, lower, upper, log_mask, names=names)
     return float(res.x[0]), float(res.x[1]), res
 
 
@@ -631,6 +639,8 @@ def fit_lamp(data, t_mc=0.03):
     """Fit (k_agg, a, b) of lamp_model to (P_lamp, Gamma) data."""
     powers = np.asarray([p for p, _ in data], dtype=float)
     gammas = np.asarray([g for _, g in data], dtype=float)
+    names = ["k_agg", "a", "b"]
+    _require_residuals(gammas.size, names)
     sigmas = np.maximum(0.05 * np.abs(gammas), 1e-6)
     bp_cache = {}
 
@@ -655,7 +665,6 @@ def fit_lamp(data, t_mc=0.03):
     lower = np.array([1e-3, a0 * 1e-6, 1e-6])
     upper = np.array([1e3, a0 * 1e6, max(gammas.max() * 10, 1.0)])
     log_mask = np.array([True, True, True])
-    res = lm_least_squares(residual, x0, lower, upper, log_mask,
-                           names=["k_agg", "a", "b"])
+    res = lm_least_squares(residual, x0, lower, upper, log_mask, names=names)
     return LampTheta(k_agg=float(res.x[0]), t_mc=t_mc, a=float(res.x[1]),
                      b=float(res.x[2])), res

@@ -11,7 +11,7 @@ prefactor.  Transition i -> j takes its structure factors at the qubit
 energy (j - i) f_q; the one junction sum, ``_junction_rates``, takes them
 keyed by delta = j - i in {0, +1, -1}, and each channel has one assembly on
 it (``_nups_channels``, ``_paps_channels``).  Only the junction-summed 2x2
-matrices leave this module.
+matrices leave this module, one point's as a RateBreakdown with its totals.
 
 The prefactors are the ones that reproduce the reference device's measured
 and fitted rates (excitation/relaxation 134/247 1/s at zero flux, the
@@ -60,7 +60,7 @@ class PhotonDrive:
             raise ValueError("f_p must be positive when the mode is occupied")
 
 
-def _drive_list(drive):
+def drive_list(drive):
     if drive is None:
         return []
     if isinstance(drive, PhotonDrive):
@@ -81,7 +81,7 @@ class FluxPoint:
 def flux_point(params: DeviceParams, phi, n_g=DEFAULT_NG):
     sectors = solve_sectors(params, phi, n_g)
     mels = {j: sectors.matrix_elements(j) for j in (Junction.J1, Junction.J2)}
-    return FluxPoint(phi=phi, n_g=n_g, fq=sectors.spectrum().fq_mean, mels=mels)
+    return FluxPoint(phi=phi, n_g=n_g, fq=sectors.fq_mean, mels=mels)
 
 
 def nups_prefactor_per_s(f_ej_ghz):
@@ -98,22 +98,6 @@ def rho_weighted(g, rho):
     # than g[..., i, j], and this runs once per Newton solve in fit loops
     t = np.asarray(g).T
     return r0 * (t[0, 0] + t[1, 0]) + r1 * (t[1, 1] + t[0, 1])
-
-
-class ChannelTotals:
-    """rho-weighted totals of a record with 2x2 gamma_n, gamma_p and rho."""
-
-    @property
-    def gamma_n_total(self):
-        return float(rho_weighted(self.gamma_n, self.rho))
-
-    @property
-    def gamma_p_total(self):
-        return float(rho_weighted(self.gamma_p, self.rho))
-
-    @property
-    def gamma_total(self):
-        return self.gamma_n_total + self.gamma_p_total
 
 
 def _junction_rates(params: DeviceParams, points, pair_of, weight):
@@ -138,8 +122,8 @@ def _junction_rates(params: DeviceParams, points, pair_of, weight):
 
 
 @dataclass(frozen=True)
-class RateBreakdown(ChannelTotals):
-    """All parity-switching channels at one flux point (rates in 1/s)."""
+class RateBreakdown:
+    """All channels at one flux point and their rho-weighted totals (1/s)."""
 
     phi: float
     fq: float
@@ -148,8 +132,16 @@ class RateBreakdown(ChannelTotals):
     rho: tuple
 
     @property
-    def gamma(self):
-        return self.gamma_n + self.gamma_p
+    def gamma_n_total(self):
+        return float(rho_weighted(self.gamma_n, self.rho))
+
+    @property
+    def gamma_p_total(self):
+        return float(rho_weighted(self.gamma_p, self.rho))
+
+    @property
+    def gamma_total(self):
+        return self.gamma_n_total + self.gamma_p_total
 
 
 def _film_pauli(film):
@@ -177,7 +169,7 @@ def nups_rates(params: DeviceParams, phi, left: FilmState, right: FilmState,
     ``left`` is the low-gap junction electrode, ``right`` the high-gap one.
     Both directions are summed, the left-occupied one first; a film with
     no excess QPs (mu = -inf) supplies exact zeros.  The Boltzmann
-    shortcut is taken per direction where it is exact to 1e-6.
+    shortcut is taken per direction where it is exact to e^-20 ~ 2e-9.
     """
     point = point or flux_point(params, phi, n_g)
     directions = [(occ, emp, _film_pauli(emp) and not occ.boltzmann_ok(),
@@ -207,7 +199,7 @@ def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
     rfilm = right if right is not None else _bare_film(params, low=False)
     return sum((_paps_channels(params, [point], m.f_p, m.n_bar, lfilm, rfilm,
                                pauli, rtol)[0]
-                for m in _drive_list(drive) if m.n_bar > 0.0), np.zeros((2, 2)))
+                for m in drive_list(drive) if m.n_bar > 0.0), np.zeros((2, 2)))
 
 
 def _paps_channels(params: DeviceParams, points, f_p, n_bar, left, right,
@@ -255,7 +247,7 @@ class DiluteTables:
     (high-gap) side occupied at mu = 0, Maxwell-Boltzmann occupations, no
     Pauli blocking.  Rates at any chemical potentials follow by scaling with
     x/x_ref because the occupied-side weight is exactly exponential in mu in
-    this regime; gamma_n and per_qp map K-vectors to K results.
+    this regime; gamma_n maps K-vectors of densities to K results.
     """
 
     points: list      # K FluxPoints
@@ -269,13 +261,12 @@ class DiluteTables:
         return (self.lr * (x0 / self.x_ref)[:, None, None]
                 + self.rl * (x2 / self.x_ref)[:, None, None])
 
-    def per_qp(self, rho, n_cp_low, direction):
-        """rho-weighted per-QP tunneling rates (1/s per QP): low_to_high per
-        QP on the low-gap side, high_to_low per QP on the high-gap side at
-        the shared chemical potential (x3 = x2 e^-eta)."""
-        if direction == "low_to_high":
-            return rho_weighted(self.lr, rho) / (self.x_ref * n_cp_low)
-        return (rho_weighted(self.rl, rho)
+    def per_qp(self, rho, n_cp_low):
+        """rho-weighted per-QP tunneling rates (1/s per QP), K-vectors
+        gamma03 per QP on the low-gap side and gamma30 per QP on the
+        high-gap side at the shared chemical potential (x3 = x2 e^-eta)."""
+        return (rho_weighted(self.lr, rho) / (self.x_ref * n_cp_low),
+                rho_weighted(self.rl, rho)
                 / (self.x_ref * math.exp(-self.eta) * n_cp_low))
 
 

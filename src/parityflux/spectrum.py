@@ -6,9 +6,9 @@ gives the gauge -E_J1 cos(phi) - E_J2 cos(phi + phi_ext), which changes no
 modulus).  The odd-parity sector is represented by shifting n_g -> n_g - 1/2
 on the integer charge basis; e^{+-i phi/2} then acts as a half-unit charge
 translation between the sectors.  solve_sectors makes one eigensystem call
-per sector, and the parity spectrum and the matrix elements of both
-junctions are read off that one solve; parity_spectrum and
-charge_matrix_elements are views of it.
+per sector, and the parity spectrum (fq_even, fq_odd, fq_mean, delta_fq)
+and the matrix elements of both junctions are read off that one Sectors
+record; parity_spectrum and charge_matrix_elements are views of it.
 """
 
 import math
@@ -19,7 +19,6 @@ import numpy as np
 
 DEFAULT_NG = 0.25   # midpoint between the charge-dispersion extremes
 DEFAULT_NTRUNC = 31  # charge states -15..15
-N_LEVELS = 5         # levels per parity sector kept in a SpectrumResult
 
 
 class TruncationError(RuntimeError):
@@ -29,21 +28,6 @@ class TruncationError(RuntimeError):
 class Junction(Enum):
     J1 = 1
     J2 = 2
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    levels_even: np.ndarray  # GHz, relative to even ground state
-    fq_even: float
-    fq_odd: float
-
-    @property
-    def fq_mean(self):
-        return 0.5 * (self.fq_even + self.fq_odd)
-
-    @property
-    def delta_fq(self):
-        return abs(self.fq_even - self.fq_odd)
 
 
 @dataclass(frozen=True)
@@ -117,8 +101,8 @@ def _translation_amplitudes(vec_even, vec_odd):
 
 @dataclass(frozen=True)
 class Sectors:
-    """Levels (relative to each ground state) and eigenvector columns of
-    the even sector at n_g and the odd sector at n_g - 1/2."""
+    """Levels (GHz, relative to each ground state) and eigenvector columns
+    of the even sector at n_g and the odd sector at n_g - 1/2."""
 
     phi: float
     flux_on_j2: bool
@@ -127,12 +111,21 @@ class Sectors:
     w_odd: np.ndarray
     v_odd: np.ndarray
 
-    def spectrum(self):
-        we, wo = self.w_even, self.w_odd
-        k = min(N_LEVELS, len(we))
-        return SpectrumResult(levels_even=we[:k].copy(),
-                              fq_even=float(we[1] - we[0]),
-                              fq_odd=float(wo[1] - wo[0]))
+    @property
+    def fq_even(self):
+        return float(self.w_even[1] - self.w_even[0])
+
+    @property
+    def fq_odd(self):
+        return float(self.w_odd[1] - self.w_odd[0])
+
+    @property
+    def fq_mean(self):
+        return 0.5 * (self.fq_even + self.fq_odd)
+
+    @property
+    def delta_fq(self):
+        return abs(self.fq_even - self.fq_odd)
 
     def matrix_elements(self, junction):
         """Single-charge-tunneling matrix elements of one junction, from
@@ -169,9 +162,8 @@ def solve_sectors(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,
 
 def parity_spectrum(params, phi, n_g, n_trunc=DEFAULT_NTRUNC,
                     check_convergence=True):
-    """Even manifold at n_g, odd at n_g - 1/2."""
-    return solve_sectors(params, phi, n_g, n_trunc,
-                         check_convergence).spectrum()
+    """Sectors of the even manifold at n_g and the odd at n_g - 1/2."""
+    return solve_sectors(params, phi, n_g, n_trunc, check_convergence)
 
 
 def charge_matrix_elements(params, phi, n_g=DEFAULT_NG, junction=Junction.J1,

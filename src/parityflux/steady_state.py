@@ -13,11 +13,13 @@ Generation by pair-breaking photons, g_P = Gamma_P/N_CP, couples the photon
 drive into the densities; the per-QP tunneling rates gamma03/gamma30 carry
 the qubit-state-weighted measurement pumping.
 
-``solve_balance`` is one batched Newton solve over K points that share
-the dynamics and eta (a scalar solve is K = 1); ``balance_curve`` feeds it
-the inputs ``_balance_inputs`` builds from a DiluteTables batch, and
-``gamma_curve`` adds the chemical potentials (QPState).  Given x0, the
-balance solves for s in closed form (``solve_trapping_for_density``).
+Every curve and the fit model take Gamma_P from the one photon-mode sum,
+``photon_gamma_p``.  ``solve_balance`` is one batched Newton solve over K
+points that share the dynamics and eta; ``balance_curve`` feeds it the
+inputs ``_balance_inputs`` builds from a DiluteTables batch, and
+``gamma_curve`` returns CurvePoints, each a RateBreakdown with its QPState.
+Given x0, the balance solves for s in closed form
+(``solve_trapping_for_density``).
 """
 
 import math
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceParams, cooper_pair_number, require_finite
-from .rates import (DEFAULT_NG, ChannelTotals, _drive_list, dilute_tables,
-                    dilute_tables_grid, flux_point, paps_unit_grid,
-                    rho_weighted)
+from .rates import (DEFAULT_NG, RateBreakdown, dilute_tables,
+                    dilute_tables_grid, drive_list, flux_point,
+                    paps_unit_grid, rho_weighted)
 from .superconductor import mu_from_xqp
 
 _NEWTON_STEPS = 100  # solve_balance cap; it converges in a handful
@@ -161,8 +163,7 @@ def _balance_inputs(params: DeviceParams, tables, gamma_p, rho, g_other):
     n_cp_low = cooper_pair_number(params.gap_low, params.volume_low,
                                   params.dos_fermi)
     return (rho_weighted(gamma_p, rho) / n_cp_low + g_other,
-            tables.per_qp(rho, n_cp_low, "low_to_high"),
-            tables.per_qp(rho, n_cp_low, "high_to_low"), tables.eta)
+            *tables.per_qp(rho, n_cp_low), tables.eta)
 
 
 def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
@@ -176,26 +177,20 @@ def balance_curve(params: DeviceParams, dyn: DynamicsParams, tables, gamma_p,
     return x0, x2, tables.gamma_n(x0, x2)
 
 
-@dataclass
-class CurvePoint(ChannelTotals):
-    """One flux point of the modeled parity-switching curve."""
+@dataclass(frozen=True)
+class CurvePoint(RateBreakdown):
+    """One flux point of the modeled curve: its rates at its steady state."""
 
-    phi: float
-    fq: float
     state: QPState
-    gamma_n: np.ndarray   # 2x2 junction-summed NUPS channels
-    gamma_p: np.ndarray   # 2x2 junction-summed PAPS channels
-    rho: tuple
 
 
-def _gamma_p(params, points, drive):
-    """Junction-summed (K, 2, 2) Gamma_P at the K flux ``points``; one
-    batched paps_unit_grid per occupied mode."""
-    gamma_p = np.zeros((len(points), 2, 2))
-    for mode in _drive_list(drive):
+def photon_gamma_p(drive, unit, k):
+    """Junction-summed (K, 2, 2) Gamma_P of a drive: the sum over its
+    PhotonDrives with n_bar > 0 of n_bar * unit(f_p), the rate per unit n_bar."""
+    gamma_p = np.zeros((k, 2, 2))
+    for mode in drive_list(drive):
         if mode.n_bar > 0:
-            gamma_p = gamma_p + mode.n_bar * paps_unit_grid(
-                params, points, mode.f_p)
+            gamma_p = gamma_p + mode.n_bar * unit(mode.f_p)
     return gamma_p
 
 
@@ -216,11 +211,12 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     points = [flux_point(params, float(p), n_g)
               for p in np.asarray(flux_grid, dtype=float)]
     tables = dilute_tables_grid(params, points)
-    gamma_p = _gamma_p(params, points, drive)
+    gamma_p = photon_gamma_p(
+        drive, lambda f_p: paps_unit_grid(params, points, f_p), len(points))
     x0, x2, gamma_n = balance_curve(params, dyn, tables, gamma_p, rho)
-    return [CurvePoint(phi=pt.phi, fq=pt.fq,
-                       state=_qp_state(params, x0[k], x2[k], tables.eta),
-                       gamma_n=gamma_n[k], gamma_p=gamma_p[k], rho=tuple(rho))
+    return [CurvePoint(phi=pt.phi, fq=pt.fq, gamma_n=gamma_n[k],
+                       gamma_p=gamma_p[k], rho=tuple(rho),
+                       state=_qp_state(params, x0[k], x2[k], tables.eta))
             for k, pt in enumerate(points)]
 
 
@@ -239,8 +235,9 @@ def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0):
         raise ValueError("target_x0 must be finite and positive, got %r"
                          % target_x0)
     tables = dilute_tables(params, phi)
-    g, g03, g30, eta = _balance_inputs(params, tables, _gamma_p(
-        params, tables.points, drive), (0.5, 0.5), 0.0)
+    g, g03, g30, eta = _balance_inputs(params, tables, photon_gamma_p(
+        drive, lambda f_p: paps_unit_grid(params, tables.points, f_p), 1),
+        (0.5, 0.5), 0.0)
     x0, em = target_x0, math.exp(-eta)
     t30, br = g30[0] * em, (1.0 + em * em) * DynamicsParams.r
     lin = g[0] - br * x0 * x0 - g03[0] * x0

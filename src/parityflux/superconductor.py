@@ -36,7 +36,7 @@ from .quadrature import adaptive_quad
 
 # occupation below exp(-40) is discarded (thermal tail cutoff)
 _TAIL_EFOLDS = 40.0
-# Maxwell-Boltzmann shortcut is exact to better than 1e-8 beyond this
+# Maxwell-Boltzmann shortcut is exact to e^-20 ~ 2e-9 (< 1e-8) beyond this
 _MB_EFOLDS = 20.0
 # Fermi-series terms in mu_from_xqp; q <= 1/e there, so e^-40 truncation
 _SERIES_TERMS = 40
@@ -99,12 +99,6 @@ class FilmState:
             raise ValueError("x_qp must be nonnegative")
         if self.mu >= self.gap:
             raise ValueError("nondegenerate regime assumed: mu < gap")
-
-    @classmethod
-    def from_mu(cls, gap, temperature, mu, dynes=1e-4):
-        x = xqp_from_mu(gap, temperature, mu, dynes)
-        return cls(gap=gap, temperature=temperature, mu=mu, x_qp=x,
-                   dynes=dynes)
 
     @classmethod
     def from_xqp(cls, gap, temperature, x_qp, dynes=1e-4):

@@ -68,8 +68,10 @@ def test_criterion_2_detailed_balance(device):
     anchor = None
     for t in (0.030, 0.050, 0.100):
         p = device.with_(t_ph=t)
-        left = FilmState.from_mu(p.gap_low, t, 0.0, p.dynes)
-        right = FilmState.from_mu(p.gap_high, t, 0.0, p.dynes)
+        left, right = (FilmState(gap=gap, temperature=t, mu=0.0,
+                                 x_qp=pf.xqp_from_mu(gap, t, 0.0, p.dynes),
+                                 dynes=p.dynes)
+                       for gap in (p.gap_low, p.gap_high))
         for phi in np.linspace(0.0, 0.5, 11):
             pt = flux_point(p, phi)
             tot = nups_rates(p, phi, left, right, rtol=1e-9, point=pt)

@@ -9,6 +9,7 @@ from parityflux.cli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 CFG = """\
@@ -449,6 +450,57 @@ def test_one_row_fits_name_the_counts(tmp_path, capsys):
     assert run(["thermal-fit", "--data", str(thermal), "--out", out]) == 1
     assert ("too few data points: 1 residuals for 2 parameters "
             "(gap_mean, offset)" in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, header, message", [
+    (["lamp"], "p_lamp_uw,gamma_per_s", "3 parameters (k_agg, a, b)"),
+    (["thermal-fit"], "t_kelvin,gamma_per_s", "2 parameters (gap_mean, offset)"),
+    (["thermal-fit", "--mode", "qp_background"], "t_kelvin,gamma_per_s",
+     "2 parameters (gap_mean, x_bg)"),
+])
+def test_header_only_data_names_the_counts(tmp_path, capsys, argv, header,
+                                           message):
+    data = tmp_path / "empty.csv"
+    data.write_text(header + "\n")
+    out = str(tmp_path / "o.txt")
+    assert run(argv + ["--data", str(data), "--out", out]) == 1
+    assert ("error: too few data points: 0 residuals for " + message
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def _run_cli(argv, cwd):
+    """Exit code and stderr of the CLI in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "parityflux.cli"] + argv,
+        capture_output=True, text=True, cwd=str(cwd),
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")))
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("bind, init, code, message", [
+    # no photon mode: nothing depends on the one free s
+    ("s:shared", "s=10", 1,
+     "error: normal matrix is singular; collinear parameters: s[shared]"),
+    ("n_bar:per", "n_bar=2e-3", 2,
+     "usage error: --init needs f_P when n_bar is free or nonzero"),
+    ("s:shared", "s=10,n_bar=2e-3", 2,
+     "usage error: --init needs f_P when n_bar is free or nonzero"),
+    ("s:shared", "s=10,f_P=110,n_bar=-1e-3", 1,
+     "error: n_bar must be nonnegative"),
+    ("f_P:per", "f_P=50", 1,
+     "error: initial f_P[syn_single] = 50 lies outside bounds [104.5, 400]"),
+])
+def test_fit_inputs_end_in_a_message(tmp_path, bind, init, code, message):
+    out = str(tmp_path / "fit.txt")
+    returncode, err = _run_cli(
+        ["fit", "--data", os.path.join(DATA, "syn_single.csv"), "--bind", bind,
+         "--init", init, "--out", out], tmp_path)
+    assert returncode == code
+    assert message in err
+    assert "Traceback" not in err
     assert not os.path.exists(out)
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from parityflux import DynamicsParams, PhotonDrive
+from parityflux import DeviceParams, DynamicsParams, PhotonDrive
 from parityflux.fitting import (DegenerateFitError, FitDataset, FitProblem,
-                                LampTheta, band_power, fit, fit_lamp,
+                                GammaModel, LampTheta, band_power, fit, fit_lamp,
                                 fit_thermal, lamp_model, lamp_temperature,
                                 lm_least_squares, pseudo_r2,
                                 thermal_nups_rate)
@@ -120,6 +120,50 @@ def test_lm_nan_start_is_outside_bounds():
         lm_least_squares(resid, np.array([np.nan, 1.0]),
                          np.array([1e-3, 1e-3]), np.array([10.0, 10.0]),
                          np.array([True, True]))
+
+
+def test_lm_start_outside_box_names_the_slot():
+    resid, _ = _quad_residual()
+    with pytest.raises(ValueError, match=r"initial b = 50 lies outside "
+                                         r"bounds \[0\.001, 10\]"):
+        lm_least_squares(resid, np.array([1.0, 50.0]),
+                         np.array([1e-3, 1e-3]), np.array([10.0, 10.0]),
+                         np.array([True, True]), names=["a", "b"])
+
+
+def test_fit_start_outside_box_names_the_slot():
+    phi = np.linspace(0.0, 0.5, 3)
+    ones = np.ones(3)
+    problem = FitProblem(datasets=[FitDataset("syn", phi, ones, ones)],
+                         free=("f_P",), bindings={"f_P": "per"},
+                         fixed=dict(n_bar=2e-3, s=10.0, g_other=0.0,
+                                    gap_diff=4.86))
+    with pytest.raises(ValueError, match=r"initial f_P\[syn\] = 50 lies "
+                                         r"outside bounds \[104\.5, 400\]"):
+        fit(problem, dict(f_P=50.0))
+
+
+def test_model_photon_modes_are_photon_drives():
+    phi = np.linspace(0.0, 0.5, 5)
+    ones = np.ones(5)
+
+    def evaluate(**fixed):
+        problem = FitProblem(
+            datasets=[FitDataset("syn", phi, ones, ones)], free=("s",),
+            bindings={"s": "shared"},
+            fixed=dict(dict(f_P=0.0, n_bar=0.0, g_other=8e-8,
+                            gap_diff=4.844), **fixed))
+        return GammaModel(problem, DeviceParams()).evaluate([11.0])[0]
+
+    # an empty mode needs no frequency and adds nothing
+    curve = gamma_curve(DeviceParams(), DynamicsParams(s=11.0, g_other=8e-8),
+                        None, phi)
+    assert evaluate() == pytest.approx([cp.gamma_total for cp in curve],
+                                       rel=1e-6)
+    with pytest.raises(ValueError, match="n_bar must be nonnegative"):
+        evaluate(f_P=110.0, n_bar=-1e-3)
+    with pytest.raises(ValueError, match="f_p must be positive"):
+        evaluate(n_bar=2e-3)
 
 
 def test_lm_degenerate_parameters_named():

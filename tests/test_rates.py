@@ -13,7 +13,8 @@ from parityflux.rates import (TRANSITIONS, FluxPoint, blackbody_weights,
                               paps_flux_profile, paps_prefactor_per_s,
                               paps_rates, paps_unit_grid, rate_breakdown)
 from parityflux.spectrum import Junction, charge_matrix_elements
-from parityflux.superconductor import nups_integral_grid, paps_integral_grid
+from parityflux.superconductor import (nups_integral_grid, paps_integral_grid,
+                                       xqp_from_mu)
 
 
 def films(device, x0=6.2e-9, x3=1e-10):
@@ -64,8 +65,11 @@ def test_nups_zero_without_qps(device):
 def test_nups_detailed_balance_anchor(device):
     # thermal mu = 0 both sides: Gamma01/Gamma10 = exp(-h f_q/k T) ~ 7.8e-3
     left, right = films(device)
-    left = FilmState.from_mu(device.gap_low, device.t_ph, 0.0, device.dynes)
-    right = FilmState.from_mu(device.gap_high, device.t_ph, 0.0, device.dynes)
+    left, right = (FilmState(gap=gap, temperature=device.t_ph, mu=0.0,
+                             x_qp=xqp_from_mu(gap, device.t_ph, 0.0,
+                                              device.dynes),
+                             dynes=device.dynes)
+                   for gap in (device.gap_low, device.gap_high))
     pt = flux_point(device, 0.0)
     tot = nups_rates(device, 0.0, left, right, rtol=1e-9, point=pt)
     expect = math.exp(-pt.fq / (KB_GHZ_PER_K * device.t_ph))
@@ -137,8 +141,7 @@ def _per_qp(device, phi):
     n_cp = cooper_pair_number(device.gap_low, device.volume_low,
                               device.dos_fermi)
     tables = dilute_tables(device, phi)
-    return [tables.per_qp((0.5, 0.5), n_cp, d)[0]
-            for d in ("low_to_high", "high_to_low")]
+    return [g[0] for g in tables.per_qp((0.5, 0.5), n_cp)]
 
 
 def test_per_qp_imbalance_peaks_at_resonance(device):

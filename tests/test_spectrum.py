@@ -57,8 +57,8 @@ def test_device_frequencies(device):
     s5 = parity_spectrum(device, 0.5, 0.0)
     assert s0.fq_even == pytest.approx(5.0594, rel=5e-3)
     assert s5.fq_even == pytest.approx(3.5624, rel=5e-3)
-    assert s0.levels_even[0] == 0.0
-    assert np.all(np.diff(s0.levels_even) > 0)
+    assert s0.w_even[0] == 0.0
+    assert np.all(np.diff(s0.w_even[:5]) > 0)
 
 
 def test_free_rotor_limit():

@@ -210,8 +210,7 @@ def test_batched_balance_matches_scalar_reference(device):
     n_cp = cooper_pair_number(device.gap_low, device.volume_low,
                               device.dos_fermi)
     rho = (0.5, 0.5)
-    g03 = tables.per_qp(rho, n_cp, "low_to_high")
-    g30 = tables.per_qp(rho, n_cp, "high_to_low")
+    g03, g30 = tables.per_qp(rho, n_cp)
     g_photon = rho_weighted(2.1e-3 * paps_unit_grid(device, points, 109.0),
                             rho) / n_cp
     cases = [(s, R_REC, g_other, g_photon)
@@ -274,7 +273,8 @@ def _bracketed_trapping(params, phi, drive, target_x0):
 
     ss = importlib.import_module("parityflux.steady_state")
     tables = dilute_tables(params, phi)
-    gamma_p = ss._gamma_p(params, tables.points, drive)
+    gamma_p = ss.photon_gamma_p(
+        drive, lambda f_p: ss.paps_unit_grid(params, tables.points, f_p), 1)
 
     def x0_at(s):
         dyn = DynamicsParams(s=s, r=R_REC, g_other=0.0)

@@ -435,8 +435,8 @@ def test_paps_grid_matches_scalar():
 def test_film_state_constructors():
     f = FilmState.from_xqp(GAP_L, 0.05, 6.2e-9)
     assert f.x_qp == 6.2e-9
-    g = FilmState.from_mu(GAP_L, 0.05, f.mu)
-    assert g.x_qp == pytest.approx(6.2e-9, rel=1e-8)
+    assert xqp_from_mu(GAP_L, 0.05, f.mu, f.dynes) == pytest.approx(
+        6.2e-9, rel=1e-8)
     with pytest.raises(ValueError):
         FilmState(gap=GAP_L, temperature=0.05, mu=GAP_L + 1, x_qp=0.0)
     with pytest.raises(ValueError):
