@@ -23,8 +23,8 @@ from .constants import thermal_energy_ghz
 from .device import DeviceParams, require_finite
 from .quadrature import adaptive_quad
 from .rates import (DEFAULT_NG, PhotonDrive, dilute_tables_grid, flux_point,
-                    nups_rates, paps_unit_grid, rho_weighted)
-from .steady_state import DynamicsParams, balance_curve, photon_gamma_p
+                    nups_rates, paps_unit_grid, photon_gamma_p, rho_weighted)
+from .steady_state import DynamicsParams, balance_curve
 # unused here; perfbench/tracer.py checks that fitting.solve_balance resolves
 from .steady_state import solve_balance  # noqa: F401
 from .superconductor import FilmState, mu_from_xqp, xqp_from_mu
@@ -375,8 +375,8 @@ class GammaModel:
             modes = [per[0], vals] if self.problem.lamp_mode and ds_idx else [vals]
             gamma_p = photon_gamma_p(
                 [PhotonDrive(m["f_P"], m["n_bar"]) for m in modes],
-                lambda f_p: self._on_grid(paps_unit_grid, grid, gap_diff,
-                                          f_p), len(grid))
+                lambda m: m.n_bar * self._on_grid(paps_unit_grid, grid,
+                                                  gap_diff, m.f_p), len(grid))
             _, _, gamma_n = balance_curve(
                 params, dyn, self._on_grid(dilute_tables_grid, grid, gap_diff),
                 gamma_p, rho)

@@ -10,8 +10,9 @@ elements with the pair-breaking structure factors and a per-photon coupling
 prefactor.  Transition i -> j takes its structure factors at the qubit
 energy (j - i) f_q; the one junction sum, ``_junction_rates``, takes them
 keyed by delta = j - i in {0, +1, -1}, and each channel has one assembly on
-it (``_nups_channels``, ``_paps_channels``).  Only the junction-summed 2x2
-matrices leave this module, one point's as a RateBreakdown with its totals.
+it (``_nups_channels``, ``_paps_channels``); the one sum over photon modes
+is ``photon_gamma_p``.  Only the junction-summed 2x2 matrices leave this
+module, one point's as a RateBreakdown with its totals.
 
 The prefactors are the ones that reproduce the reference device's measured
 and fitted rates (excitation/relaxation 134/247 1/s at zero flux, the
@@ -60,12 +61,22 @@ class PhotonDrive:
             raise ValueError("f_p must be positive when the mode is occupied")
 
 
-def drive_list(drive):
+def _drive_list(drive):
     if drive is None:
         return []
     if isinstance(drive, PhotonDrive):
         return [drive]
     return list(drive)
+
+
+def photon_gamma_p(drive, rate, k):
+    """The (K, 2, 2) sum of rate(mode) over the PhotonDrives of a drive with
+    n_bar > 0; rate(mode) is that mode's junction-summed Gamma_P."""
+    gamma_p = np.zeros((k, 2, 2))
+    for mode in _drive_list(drive):
+        if mode.n_bar > 0:
+            gamma_p = gamma_p + rate(mode)
+    return gamma_p
 
 
 @dataclass(frozen=True)
@@ -197,9 +208,8 @@ def paps_rates(params: DeviceParams, phi, drive, left=None, right=None,
     pauli = _film_pauli(left) or _film_pauli(right)
     lfilm = left if left is not None else _bare_film(params, low=True)
     rfilm = right if right is not None else _bare_film(params, low=False)
-    return sum((_paps_channels(params, [point], m.f_p, m.n_bar, lfilm, rfilm,
-                               pauli, rtol)[0]
-                for m in drive_list(drive) if m.n_bar > 0.0), np.zeros((2, 2)))
+    return photon_gamma_p(drive, lambda m: _paps_channels(
+        params, [point], m.f_p, m.n_bar, lfilm, rfilm, pauli, rtol), 1)[0]
 
 
 def _paps_channels(params: DeviceParams, points, f_p, n_bar, left, right,

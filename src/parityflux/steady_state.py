@@ -14,12 +14,12 @@ drive into the densities; the per-QP tunneling rates gamma03/gamma30 carry
 the qubit-state-weighted measurement pumping.
 
 Every curve and the fit model take Gamma_P from the one photon-mode sum,
-``photon_gamma_p``.  ``solve_balance`` is one batched Newton solve over K
-points that share the dynamics and eta; ``balance_curve`` feeds it the
-inputs ``_balance_inputs`` builds from a DiluteTables batch, and
-``gamma_curve`` returns CurvePoints, each a RateBreakdown with its QPState.
-Given x0, the balance solves for s in closed form
-(``solve_trapping_for_density``).
+``rates.photon_gamma_p``, as n_bar times the unit PAPS grid of each mode.
+``solve_balance`` is one batched Newton solve over K points that share the
+dynamics and eta; ``balance_curve`` feeds it the inputs ``_balance_inputs``
+builds from a DiluteTables batch, and ``gamma_curve`` returns CurvePoints,
+each a RateBreakdown with its QPState.  Given x0, the balance solves for s
+in closed form (``solve_trapping_for_density``).
 """
 
 import math
@@ -29,8 +29,8 @@ import numpy as np
 
 from .device import DeviceParams, cooper_pair_number, require_finite
 from .rates import (DEFAULT_NG, RateBreakdown, dilute_tables,
-                    dilute_tables_grid, drive_list, flux_point,
-                    paps_unit_grid, rho_weighted)
+                    dilute_tables_grid, flux_point, paps_unit_grid,
+                    photon_gamma_p, rho_weighted)
 from .superconductor import mu_from_xqp
 
 _NEWTON_STEPS = 100  # solve_balance cap; it converges in a handful
@@ -184,16 +184,6 @@ class CurvePoint(RateBreakdown):
     state: QPState
 
 
-def photon_gamma_p(drive, unit, k):
-    """Junction-summed (K, 2, 2) Gamma_P of a drive: the sum over its
-    PhotonDrives with n_bar > 0 of n_bar * unit(f_p), the rate per unit n_bar."""
-    gamma_p = np.zeros((k, 2, 2))
-    for mode in drive_list(drive):
-        if mode.n_bar > 0:
-            gamma_p = gamma_p + mode.n_bar * unit(mode.f_p)
-    return gamma_p
-
-
 def curve_point(params: DeviceParams, dyn: DynamicsParams, phi, drive,
                 rho=(0.5, 0.5), n_g=DEFAULT_NG):
     """Model curve at one flux point: gamma_curve at K = 1."""
@@ -211,8 +201,8 @@ def gamma_curve(params: DeviceParams, dyn: DynamicsParams, drive, flux_grid,
     points = [flux_point(params, float(p), n_g)
               for p in np.asarray(flux_grid, dtype=float)]
     tables = dilute_tables_grid(params, points)
-    gamma_p = photon_gamma_p(
-        drive, lambda f_p: paps_unit_grid(params, points, f_p), len(points))
+    gamma_p = photon_gamma_p(drive, lambda m: m.n_bar * paps_unit_grid(
+        params, points, m.f_p), len(points))
     x0, x2, gamma_n = balance_curve(params, dyn, tables, gamma_p, rho)
     return [CurvePoint(phi=pt.phi, fq=pt.fq, gamma_n=gamma_n[k],
                        gamma_p=gamma_p[k], rho=tuple(rho),
@@ -236,8 +226,8 @@ def solve_trapping_for_density(params: DeviceParams, phi, drive, target_x0):
                          % target_x0)
     tables = dilute_tables(params, phi)
     g, g03, g30, eta = _balance_inputs(params, tables, photon_gamma_p(
-        drive, lambda f_p: paps_unit_grid(params, tables.points, f_p), 1),
-        (0.5, 0.5), 0.0)
+        drive, lambda m: m.n_bar * paps_unit_grid(params, tables.points,
+                                                  m.f_p), 1), (0.5, 0.5), 0.0)
     x0, em = target_x0, math.exp(-eta)
     t30, br = g30[0] * em, (1.0 + em * em) * DynamicsParams.r
     lin = g[0] - br * x0 * x0 - g03[0] * x0

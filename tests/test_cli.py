@@ -39,6 +39,15 @@ def run(argv):
     return main(argv)
 
 
+def run_fresh(args, cwd=None):
+    """Python with ``args`` in a fresh process that imports parityflux from
+    this checkout."""
+    return subprocess.run(
+        [sys.executable] + args, capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")))
+
+
 def test_sweep_deterministic_and_columns(cfg, tmp_path):
     out1 = str(tmp_path / "c1.csv")
     out2 = str(tmp_path / "c2.csv")
@@ -470,16 +479,6 @@ def test_header_only_data_names_the_counts(tmp_path, capsys, argv, header,
     assert not os.path.exists(out)
 
 
-def _run_cli(argv, cwd):
-    """Exit code and stderr of the CLI in a fresh process."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "parityflux.cli"] + argv,
-        capture_output=True, text=True, cwd=str(cwd),
-        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
-                 + os.environ.get("PYTHONPATH", "")))
-    return proc.returncode, proc.stderr
-
-
 @pytest.mark.parametrize("bind, init, code, message", [
     # no photon mode: nothing depends on the one free s
     ("s:shared", "s=10", 1,
@@ -495,12 +494,13 @@ def _run_cli(argv, cwd):
 ])
 def test_fit_inputs_end_in_a_message(tmp_path, bind, init, code, message):
     out = str(tmp_path / "fit.txt")
-    returncode, err = _run_cli(
-        ["fit", "--data", os.path.join(DATA, "syn_single.csv"), "--bind", bind,
-         "--init", init, "--out", out], tmp_path)
-    assert returncode == code
-    assert message in err
-    assert "Traceback" not in err
+    proc = run_fresh(
+        ["-m", "parityflux.cli", "fit", "--data",
+         os.path.join(DATA, "syn_single.csv"), "--bind", bind, "--init", init,
+         "--out", out], cwd=str(tmp_path))
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not os.path.exists(out)
 
 
@@ -512,12 +512,8 @@ def test_thermal_fit_nonpositive_temperature(tmp_path, mode, temp):
     thermal.write_text("t_kelvin,gamma_per_s\n0.12,270\n%s,250\n"
                        "0.16,3900\n" % temp)
     out = str(tmp_path / "o.txt")
-    proc = subprocess.run(
-        [sys.executable, "-m", "parityflux.cli", "thermal-fit", "--data",
-         str(thermal), "--mode", mode, "--out", out],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
-                 + os.environ.get("PYTHONPATH", "")))
+    proc = run_fresh(["-m", "parityflux.cli", "thermal-fit", "--data",
+                      str(thermal), "--mode", mode, "--out", out])
     assert proc.returncode == 1
     assert "temperature %g K is not positive" % float(temp) in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -559,12 +555,7 @@ for argv in jobs:
 
 def test_model_commands_load_no_scipy(tmp_path):
     # a fresh process: the model path runs on numpy alone
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT,
-         os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")],
-        capture_output=True, text=True, cwd=str(tmp_path),
-        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
-                 + os.environ.get("PYTHONPATH", "")))
+    proc = run_fresh(["-c", NO_SCIPY_SCRIPT, DATA], cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -730,13 +721,9 @@ def test_telegraph_bad_trace_header_is_error(tmp_path, header, message,
     trace = tmp_path / "trace.txt"
     trace.write_text(header + "\n" + "+1\n-1\n" * 50)
     out = str(tmp_path / "o.txt")
-    proc = subprocess.run(
-        [sys.executable, "-m", "parityflux.cli", "telegraph", action,
-         "--trace", str(trace), "--segment-len", "20", "--n-avg", "1",
-         "--out", out],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
-                 + os.environ.get("PYTHONPATH", "")))
+    proc = run_fresh(["-m", "parityflux.cli", "telegraph", action,
+                      "--trace", str(trace), "--segment-len", "20",
+                      "--n-avg", "1", "--out", out])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     if "line" in message:

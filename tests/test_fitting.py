@@ -116,31 +116,15 @@ def test_lm_too_few_residuals_names_both_counts():
 
 def test_lm_nan_start_is_outside_bounds():
     resid, _ = _quad_residual()
+    box = (np.array([1e-3, 1e-3]), np.array([10.0, 10.0]),
+           np.array([True, True]))
     with pytest.raises(ValueError, match="outside bounds"):
-        lm_least_squares(resid, np.array([np.nan, 1.0]),
-                         np.array([1e-3, 1e-3]), np.array([10.0, 10.0]),
-                         np.array([True, True]))
-
-
-def test_lm_start_outside_box_names_the_slot():
-    resid, _ = _quad_residual()
+        lm_least_squares(resid, np.array([np.nan, 1.0]), *box)
+    # a start value outside its box is named
     with pytest.raises(ValueError, match=r"initial b = 50 lies outside "
                                          r"bounds \[0\.001, 10\]"):
-        lm_least_squares(resid, np.array([1.0, 50.0]),
-                         np.array([1e-3, 1e-3]), np.array([10.0, 10.0]),
-                         np.array([True, True]), names=["a", "b"])
-
-
-def test_fit_start_outside_box_names_the_slot():
-    phi = np.linspace(0.0, 0.5, 3)
-    ones = np.ones(3)
-    problem = FitProblem(datasets=[FitDataset("syn", phi, ones, ones)],
-                         free=("f_P",), bindings={"f_P": "per"},
-                         fixed=dict(n_bar=2e-3, s=10.0, g_other=0.0,
-                                    gap_diff=4.86))
-    with pytest.raises(ValueError, match=r"initial f_P\[syn\] = 50 lies "
-                                         r"outside bounds \[104\.5, 400\]"):
-        fit(problem, dict(f_P=50.0))
+        lm_least_squares(resid, np.array([1.0, 50.0]), *box,
+                         names=["a", "b"])
 
 
 def test_model_photon_modes_are_photon_drives():

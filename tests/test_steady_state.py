@@ -273,8 +273,8 @@ def _bracketed_trapping(params, phi, drive, target_x0):
 
     ss = importlib.import_module("parityflux.steady_state")
     tables = dilute_tables(params, phi)
-    gamma_p = ss.photon_gamma_p(
-        drive, lambda f_p: ss.paps_unit_grid(params, tables.points, f_p), 1)
+    gamma_p = ss.photon_gamma_p(drive, lambda m: m.n_bar * ss.paps_unit_grid(
+        params, tables.points, m.f_p), 1)
 
     def x0_at(s):
         dyn = DynamicsParams(s=s, r=R_REC, g_other=0.0)
